@@ -61,9 +61,4 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts);
 /// from the thesis figure numbering.
 std::string list_text();
 
-/// Entry point for the per-figure shim binaries: runs scenario `id` with
-/// text output, CAPBENCH_JOBS workers and env-driven gnuplot export.
-/// Returns a process exit code (0 ok, 1 runtime error, 2 unknown id).
-int run_shim(const std::string& id);
-
 }  // namespace capbench::scenario

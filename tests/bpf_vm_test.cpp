@@ -78,12 +78,16 @@ TEST(Vm, StxAndLdxMem) {
     EXPECT_EQ(Vm::run(prog, data).accept_len, 55u);
 }
 
+// gtest prints an AluCase as its raw bytes and ctest names each case after
+// that print, so the struct must have no padding: a 16-bit op would leave two
+// uninitialised bytes in every test name.
 struct AluCase {
-    std::uint16_t op;
+    std::uint32_t op;
     std::uint32_t a;
     std::uint32_t k;
     std::uint32_t expect;
 };
+static_assert(sizeof(AluCase) == 16, "AluCase must have no padding");
 
 class VmAluTest : public ::testing::TestWithParam<AluCase> {};
 

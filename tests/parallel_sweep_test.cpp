@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "capbench/harness/experiment.hpp"
@@ -67,11 +69,14 @@ TEST(ParallelExecutor, ZeroCountIsANoOp) {
 TEST(ParallelExecutor, PropagatesTheFirstException) {
     const ParallelExecutor exec{3};
     std::atomic<int> started{0};
+    // Each point takes 1 ms, like a (tiny) sweep point; with instant bodies
+    // the other workers could claim all 50 indices while the throw unwinds.
     EXPECT_THROW(
         exec.parallel_for(50,
                           [&](std::size_t i) {
                               ++started;
                               if (i == 5) throw std::runtime_error("point 5 failed");
+                              std::this_thread::sleep_for(std::chrono::milliseconds(1));
                           }),
         std::runtime_error);
     // After the throw no new indices are claimed; well under 50 run.
