@@ -1,6 +1,5 @@
 #include "capbench/capture/bsd_bpf.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "capbench/obs/observer.hpp"
@@ -11,12 +10,6 @@ BsdBpfDev::BsdBpfDev(hostsim::Machine& machine, const OsSpec& os, std::uint64_t 
                      std::uint32_t snaplen)
     : machine_(&machine), os_(&os), buffer_bytes_(buffer_bytes), snaplen_(snaplen) {}
 
-void BsdBpfDev::install_filter(bpf::Program program) {
-    filter_.install(std::move(program));
-    if (app_obs() != nullptr)
-        app_obs()->filter_installed(filter_.decoded(), filter_.jit() != nullptr);
-}
-
 std::uint64_t BsdBpfDev::slot_bytes(std::uint32_t caplen) const {
     // Each packet occupies its capture length plus the bpf header, padded
     // to word alignment (BPF_WORDALIGN).
@@ -24,10 +17,8 @@ std::uint64_t BsdBpfDev::slot_bytes(std::uint32_t caplen) const {
     return (raw + 3) & ~std::uint64_t{3};
 }
 
-hostsim::Work BsdBpfDev::plan(const net::PacketPtr& packet, int queue) {
-    ++stats_.kernel_seen;
-    ++qstats(queue).kernel_seen;
-    auto verdict = filter_.run(*packet, snaplen_);
+hostsim::Work BsdBpfDev::plan(const net::PacketPtr& packet) {
+    const auto verdict = plan_verdict(*packet, snaplen_);
     hostsim::Work work = os_->tap_per_packet;
     work.cycles += verdict.insns * os_->filter_cycles_per_insn;
     if (verdict.accept) {
@@ -36,45 +27,25 @@ hostsim::Work BsdBpfDev::plan(const net::PacketPtr& packet, int queue) {
         work.copy_bytes += verdict.caplen;
         work.working_set_bytes = static_cast<double>(2 * buffer_bytes_);
     }
-    pending_.push(verdict);
     return work.scaled(os_->kernel_cost_multiplier);
 }
 
-void BsdBpfDev::fanout_skip(int queue) {
-    ++stats_.fanout_skipped;
-    ++qstats(queue).fanout_skipped;
-}
-
-void BsdBpfDev::commit(const net::PacketPtr& packet, int queue) {
-    const auto verdict = pending_.pop();
-    CaptureStats& qs = qstats(queue);
-    if (!verdict.accept) {
-        ++stats_.dropped_filter;
-        ++qs.dropped_filter;
-        if (verdict.aborted) {
-            ++stats_.filter_aborts;
-            ++qs.filter_aborts;
-            if (obs::AppObserver* o = app_obs()) o->filter_aborted();
-        }
-        return;
-    }
-    ++stats_.accepted;
-    ++qs.accepted;
+void BsdBpfDev::commit(const net::PacketPtr& packet) {
+    const auto verdict = commit_verdict();
+    if (!verdict.accept) return;
     const std::uint64_t need = slot_bytes(verdict.caplen);
     if (need > buffer_bytes_) {
         // catchpacket(): a slot larger than a whole buffer half can never
         // be stored; rotating would not help.  (Without this check the
         // packet used to be stored anyway, pushing stored_bytes past the
         // configured buffer size.)
-        ++stats_.dropped_buffer;
-        ++qs.dropped_buffer;
+        count_buffer_drop();
         return;
     }
     if (store_.stored_bytes + need > buffer_bytes_) {
         if (hold_ready_) {
             // Both halves occupied: the classic bpf "buffer full" drop.
-            ++stats_.dropped_buffer;
-            ++qs.dropped_buffer;
+            count_buffer_drop();
             return;
         }
         rotate();
@@ -82,7 +53,6 @@ void BsdBpfDev::commit(const net::PacketPtr& packet, int queue) {
     store_.packets.push_back(packet);
     store_.stored_bytes += need;
     store_.caplen_bytes += verdict.caplen;
-    store_.add(queue, verdict.caplen);
     if (obs::AppObserver* o = app_obs())
         o->enqueued(packet->id(), machine_->sim().now(),
                     static_cast<std::int64_t>(store_.stored_bytes));
@@ -110,14 +80,7 @@ std::optional<StackEndpoint::Batch> BsdBpfDev::fetch(std::size_t /*max_packets*/
     batch.fetch_work = os_->syscall_overhead;
     batch.fetch_work.copy_bytes += static_cast<double>(hold_.stored_bytes);
     batch.fetch_work.working_set_bytes = static_cast<double>(2 * buffer_bytes_);
-    stats_.delivered += batch.packets.size();
-    stats_.delivered_bytes += batch.bytes;
-    for (std::size_t q = 0; q < hold_.queue_counts.size(); ++q) {
-        if (hold_.queue_counts[q] == 0 && hold_.queue_bytes[q] == 0) continue;
-        CaptureStats& qs = qstats(static_cast<int>(q));
-        qs.delivered += hold_.queue_counts[q];
-        qs.delivered_bytes += hold_.queue_bytes[q];
-    }
+    count_delivered(batch.packets.size(), batch.bytes);
     hold_.clear();
     hold_ready_ = false;
     if (obs::AppObserver* o = app_obs()) {

@@ -36,15 +36,13 @@ public:
                       std::uint32_t snaplen, SkbPool* pool = nullptr);
 
     // -- PacketTap --
-    hostsim::Work plan(const net::PacketPtr& packet, int queue) override;
-    void commit(const net::PacketPtr& packet, int queue) override;
-    void fanout_skip(int queue) override;
+    hostsim::Work plan(const net::PacketPtr& packet) override;
+    void commit(const net::PacketPtr& packet) override;
+    void fanout_skip() override { count_fanout_skip(); }
 
     // -- StackEndpoint --
     std::optional<Batch> fetch(std::size_t max_packets) override;
     void set_reader(hostsim::Thread* reader) override { reader_ = reader; }
-    void install_filter(bpf::Program program) override;
-    [[nodiscard]] const CaptureStats& stats() const override { return stats_; }
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return queued_truesize_; }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return rmem_bytes_; }
 
@@ -56,7 +54,6 @@ private:
         net::PacketPtr packet;
         std::uint32_t caplen = 0;
         std::uint64_t truesize = 0;
-        int queue = 0;  // RSS queue of arrival, for per-queue delivery stats
     };
 
     [[nodiscard]] std::uint64_t truesize(std::uint32_t frame_len) const;
@@ -65,13 +62,10 @@ private:
     const OsSpec* os_;
     std::uint64_t rmem_bytes_;
     std::uint32_t snaplen_;
-    FilterRunner filter_;
     sim::RingBuffer<Queued> queue_;
     std::uint64_t queued_truesize_ = 0;
     hostsim::Thread* reader_ = nullptr;
     SkbPool* pool_ = nullptr;
-    CaptureStats stats_;
-    PendingVerdicts pending_;
 };
 
 }  // namespace capbench::capture

@@ -13,52 +13,25 @@ MmapRing::MmapRing(hostsim::Machine& machine, const OsSpec& os, std::uint64_t ri
       slots_(std::max<std::size_t>(16, ring_bytes / std::max(frame_bytes, 256u))),
       snaplen_(snaplen) {}
 
-void MmapRing::install_filter(bpf::Program program) {
-    filter_.install(std::move(program));
-    if (app_obs() != nullptr)
-        app_obs()->filter_installed(filter_.decoded(), filter_.jit() != nullptr);
-}
-
-hostsim::Work MmapRing::plan(const net::PacketPtr& packet, int queue) {
-    ++stats_.kernel_seen;
-    ++qstats(queue).kernel_seen;
-    auto verdict = filter_.run(*packet, snaplen_);
+hostsim::Work MmapRing::plan(const net::PacketPtr& packet) {
+    const auto verdict = plan_verdict(*packet, snaplen_);
     hostsim::Work work = os_->tap_per_packet;
     work.cycles += verdict.insns * os_->filter_cycles_per_insn;
     if (verdict.accept) {
         // The kernel still copies the packet once, into the mapped ring.
         work.copy_bytes += verdict.caplen;
     }
-    pending_.push(verdict);
     return work.scaled(os_->kernel_cost_multiplier);
 }
 
-void MmapRing::fanout_skip(int queue) {
-    ++stats_.fanout_skipped;
-    ++qstats(queue).fanout_skipped;
-}
-
-void MmapRing::commit(const net::PacketPtr& packet, int queue) {
-    const auto verdict = pending_.pop();
-    CaptureStats& qs = qstats(queue);
-    if (!verdict.accept) {
-        ++stats_.dropped_filter;
-        ++qs.dropped_filter;
-        if (verdict.aborted) {
-            ++stats_.filter_aborts;
-            ++qs.filter_aborts;
-            if (obs::AppObserver* o = app_obs()) o->filter_aborted();
-        }
-        return;
-    }
-    ++stats_.accepted;
-    ++qs.accepted;
+void MmapRing::commit(const net::PacketPtr& packet) {
+    const auto verdict = commit_verdict();
+    if (!verdict.accept) return;
     if (ring_.size() >= slots_) {
-        ++stats_.dropped_buffer;
-        ++qs.dropped_buffer;
+        count_buffer_drop();
         return;
     }
-    ring_.push_back(Queued{packet, verdict.caplen, queue});
+    ring_.push_back(Queued{packet, verdict.caplen});
     if (obs::AppObserver* o = app_obs())
         o->enqueued(packet->id(), machine_->sim().now(),
                     static_cast<std::int64_t>(ring_.size()));
@@ -75,16 +48,12 @@ std::optional<StackEndpoint::Batch> MmapRing::fetch(std::size_t max_packets) {
         Queued& q = ring_.front();
         batch.packets.push_back(std::move(q.packet));
         batch.bytes += q.caplen;
-        CaptureStats& qs = qstats(q.queue);
-        ++qs.delivered;
-        qs.delivered_bytes += q.caplen;
         ring_.pop_front();
     }
     // No syscall, no copy: the application reads mapped frames directly.
     batch.fetch_work.cycles = 180.0 * static_cast<double>(n);
     batch.fetch_work.mem_misses = 1.0 * static_cast<double>(n);
-    stats_.delivered += n;
-    stats_.delivered_bytes += batch.bytes;
+    count_delivered(n, batch.bytes);
     if (obs::AppObserver* o = app_obs()) {
         const sim::SimTime now = machine_->sim().now();
         for (const net::PacketPtr& p : batch.packets) o->delivered(p->id(), now);

@@ -24,15 +24,13 @@ public:
              std::uint32_t snaplen, std::uint32_t frame_bytes = 2048);
 
     // -- PacketTap --
-    hostsim::Work plan(const net::PacketPtr& packet, int queue) override;
-    void commit(const net::PacketPtr& packet, int queue) override;
-    void fanout_skip(int queue) override;
+    hostsim::Work plan(const net::PacketPtr& packet) override;
+    void commit(const net::PacketPtr& packet) override;
+    void fanout_skip() override { count_fanout_skip(); }
 
     // -- StackEndpoint --
     std::optional<Batch> fetch(std::size_t max_packets) override;
     void set_reader(hostsim::Thread* reader) override { reader_ = reader; }
-    void install_filter(bpf::Program program) override;
-    [[nodiscard]] const CaptureStats& stats() const override { return stats_; }
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return ring_.size(); }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return slots_; }
 
@@ -42,18 +40,14 @@ private:
     struct Queued {
         net::PacketPtr packet;
         std::uint32_t caplen = 0;
-        int queue = 0;  // RSS queue of arrival, for per-queue delivery stats
     };
 
     hostsim::Machine* machine_;
     const OsSpec* os_;
     std::size_t slots_;
     std::uint32_t snaplen_;
-    FilterRunner filter_;
     sim::RingBuffer<Queued> ring_;
     hostsim::Thread* reader_ = nullptr;
-    CaptureStats stats_;
-    PendingVerdicts pending_;
 };
 
 }  // namespace capbench::capture

@@ -7,6 +7,7 @@
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/net/headers.hpp"
 #include "capbench/net/wire.hpp"
+#include "capbench/obs/observer.hpp"
 
 namespace capbench::capture {
 
@@ -25,6 +26,26 @@ bool FanoutGroup::targets(std::size_t index, std::size_t tap_count, int queue,
             return index == hash % tap_count;
     }
     return true;  // unreachable; keeps -Wreturn-type quiet
+}
+
+void StackEndpoint::install_filter(bpf::Program program) {
+    filter_.install(std::move(program));
+    if (app_obs_ != nullptr)
+        app_obs_->filter_installed(filter_.decoded(), filter_.jit() != nullptr);
+}
+
+FilterRunner::Verdict StackEndpoint::commit_verdict() {
+    const FilterRunner::Verdict verdict = pending_.pop();
+    if (verdict.accept) {
+        ++stats_.accepted;
+    } else {
+        ++stats_.dropped_filter;
+        if (verdict.aborted) {
+            ++stats_.filter_aborts;
+            if (app_obs_ != nullptr) app_obs_->filter_aborted();
+        }
+    }
+    return verdict;
 }
 
 void FilterRunner::install(bpf::Program program) {

@@ -24,7 +24,9 @@ class AppObserver;
 
 namespace capbench::capture {
 
-/// Per-consumer capture statistics (the pcap_stats analog).
+/// Per-consumer capture statistics (the pcap_stats analog).  Every fate
+/// is counted once, by the StackEndpoint accounting helpers below; the
+/// obs layer maps these counters to the drop ledger (obs::app_ledger).
 struct CaptureStats {
     std::uint64_t kernel_seen = 0;     // packets offered to this tap
     std::uint64_t accepted = 0;        // passed the filter
@@ -45,23 +47,22 @@ struct CaptureStats {
 /// Kernel-side interface: the driver asks each tap to plan (cost) and then,
 /// when the kernel work for the packet completes, to commit (buffer state
 /// mutation + reader wakeup).  plan/commit are called strictly in FIFO
-/// pairs per tap; `queue` is the RSS receive queue the packet arrived on
-/// (0 on single-queue NICs) and feeds the per-queue stats slices.
+/// pairs per tap.
 class PacketTap {
 public:
     virtual ~PacketTap() = default;
 
     /// Runs the filter and returns the kernel work this tap adds for the
     /// packet (filter interpretation, clone/enqueue, buffer copy).
-    virtual hostsim::Work plan(const net::PacketPtr& packet, int queue) = 0;
+    virtual hostsim::Work plan(const net::PacketPtr& packet) = 0;
 
     /// Applies the planned action: enqueue/copy into the consumer's buffer
     /// or count a drop; wakes the reader when data becomes available.
-    virtual void commit(const net::PacketPtr& packet, int queue) = 0;
+    virtual void commit(const net::PacketPtr& packet) = 0;
 
     /// The fanout group delivered this packet to another tap: account it
     /// (CaptureStats::fanout_skipped) without planning any kernel work.
-    virtual void fanout_skip(int queue) = 0;
+    virtual void fanout_skip() = 0;
 };
 
 /// Delivery policy of a fanout group (the taps attached to one driver).
@@ -95,75 +96,6 @@ public:
 private:
     FanoutMode mode_ = FanoutMode::kMirror;
     int queues_ = 1;
-};
-
-/// Reader-side interface used by capture application threads.
-class StackEndpoint {
-public:
-    struct Batch {
-        std::vector<net::PacketPtr> packets;
-        std::uint64_t bytes = 0;        // captured bytes (after snaplen)
-        hostsim::Work fetch_work;       // syscall + copy cost to charge
-    };
-
-    virtual ~StackEndpoint() = default;
-
-    /// Non-blocking read of up to `max_packets`.  std::nullopt means "no
-    /// data yet" — the reader should block; it is woken via its thread.
-    virtual std::optional<Batch> fetch(std::size_t max_packets) = 0;
-
-    /// Registers the application thread to wake when data arrives.
-    virtual void set_reader(hostsim::Thread* reader) = 0;
-
-    /// Installs a BPF filter (validated by the caller).
-    virtual void install_filter(bpf::Program program) = 0;
-
-    [[nodiscard]] virtual const CaptureStats& stats() const = 0;
-
-    /// Kernel-side capture-buffer fill level, in stack-native units
-    /// (BPF: stored bytes across both halves, mmap: occupied frames,
-    /// PF_PACKET: queued skb truesize bytes).  A gauge for the interval
-    /// time-series sampler; compare against buffer_capacity().
-    [[nodiscard]] virtual std::uint64_t buffer_occupancy() const = 0;
-    /// The capacity `buffer_occupancy()` saturates at, in the same units.
-    [[nodiscard]] virtual std::uint64_t buffer_capacity() const = 0;
-
-    /// Per-RSS-queue slices of stats(): entry j accounts packets that
-    /// arrived on receive queue j.  Componentwise, the sum over queues
-    /// equals stats() (delivered is folded in at fetch time).  Sized
-    /// lazily — single-queue runs hold exactly one entry.
-    [[nodiscard]] const std::vector<CaptureStats>& queue_stats() const { return queue_stats_; }
-
-    /// Hands a consumed batch's packet vector back for reuse: the next
-    /// fetch() builds its batch in it, capacity intact, so steady-state
-    /// fetch loops allocate nothing.
-    void recycle(std::vector<net::PacketPtr> packets) {
-        packets.clear();
-        spare_packets_ = std::move(packets);
-    }
-
-    /// Installs packet-lifecycle hooks (may be null; every use inside the
-    /// stacks is branch-guarded so untraced runs stay zero-cost).
-    void set_observer(obs::AppObserver* obs) { app_obs_ = obs; }
-
-protected:
-    [[nodiscard]] obs::AppObserver* app_obs() const { return app_obs_; }
-
-    /// The mutable per-queue stats slice, grown on first touch.
-    [[nodiscard]] CaptureStats& qstats(int queue) {
-        const auto index = static_cast<std::size_t>(queue);
-        if (index >= queue_stats_.size()) queue_stats_.resize(index + 1);
-        return queue_stats_[index];
-    }
-
-    /// The pooled vector from the last recycle() (empty, capacity kept);
-    /// an empty fresh vector if none was returned yet.
-    [[nodiscard]] std::vector<net::PacketPtr> take_spare() { return std::move(spare_packets_); }
-
-private:
-    std::vector<net::PacketPtr> spare_packets_;
-    std::vector<CaptureStats> queue_stats_;
-    obs::AppObserver* app_obs_ = nullptr;
 };
 
 /// Shared filter-execution helper.  Runs the real BPF VM when packet bytes
@@ -259,6 +191,94 @@ public:
 private:
     std::vector<FilterRunner::Verdict> pending_;
     std::size_t head_ = 0;
+};
+
+/// Reader-side interface used by capture application threads, and the
+/// state the three capture stacks share: the attached filter, the FIFO
+/// plan->commit verdict handoff and the one CaptureStats every packet
+/// fate is counted in.  A stack's plan() calls plan_verdict(), its
+/// commit() calls commit_verdict() and then either stores the packet or
+/// calls count_buffer_drop(); its fetch() calls count_delivered().
+class StackEndpoint {
+public:
+    struct Batch {
+        std::vector<net::PacketPtr> packets;
+        std::uint64_t bytes = 0;        // captured bytes (after snaplen)
+        hostsim::Work fetch_work;       // syscall + copy cost to charge
+    };
+
+    virtual ~StackEndpoint() = default;
+
+    /// Non-blocking read of up to `max_packets`.  std::nullopt means "no
+    /// data yet" — the reader should block; it is woken via its thread.
+    virtual std::optional<Batch> fetch(std::size_t max_packets) = 0;
+
+    /// Registers the application thread to wake when data arrives.
+    virtual void set_reader(hostsim::Thread* reader) = 0;
+
+    /// Installs a BPF filter through the FilterRunner attach gate.
+    void install_filter(bpf::Program program);
+
+    [[nodiscard]] const CaptureStats& stats() const { return stats_; }
+
+    /// Kernel-side capture-buffer fill level, in stack-native units
+    /// (BPF: stored bytes across both halves, mmap: occupied frames,
+    /// PF_PACKET: queued skb truesize bytes).  A gauge for the interval
+    /// time-series sampler; compare against buffer_capacity().
+    [[nodiscard]] virtual std::uint64_t buffer_occupancy() const = 0;
+    /// The capacity `buffer_occupancy()` saturates at, in the same units.
+    [[nodiscard]] virtual std::uint64_t buffer_capacity() const = 0;
+
+    /// Hands a consumed batch's packet vector back for reuse: the next
+    /// fetch() builds its batch in it, capacity intact, so steady-state
+    /// fetch loops allocate nothing.
+    void recycle(std::vector<net::PacketPtr> packets) {
+        packets.clear();
+        spare_packets_ = std::move(packets);
+    }
+
+    /// Installs packet-lifecycle hooks (may be null; every use inside the
+    /// stacks is branch-guarded so untraced runs stay zero-cost).
+    void set_observer(obs::AppObserver* obs) { app_obs_ = obs; }
+
+protected:
+    [[nodiscard]] obs::AppObserver* app_obs() const { return app_obs_; }
+
+    /// plan(): counts the packet as seen, runs the filter and queues the
+    /// verdict for the matching commit().
+    FilterRunner::Verdict plan_verdict(const net::Packet& packet, std::uint32_t snaplen) {
+        ++stats_.kernel_seen;
+        const FilterRunner::Verdict verdict = filter_.run(packet, snaplen);
+        pending_.push(verdict);
+        return verdict;
+    }
+
+    /// commit(): pops the planned verdict and counts it as a filter
+    /// reject (and abort) or an accept.
+    FilterRunner::Verdict commit_verdict();
+
+    /// An accepted packet found no room in the capture buffer.
+    void count_buffer_drop() { ++stats_.dropped_buffer; }
+
+    /// The fanout group routed the packet to another tap.
+    void count_fanout_skip() { ++stats_.fanout_skipped; }
+
+    /// fetch() handed `packets` packets of `bytes` captured bytes over.
+    void count_delivered(std::size_t packets, std::uint64_t bytes) {
+        stats_.delivered += packets;
+        stats_.delivered_bytes += bytes;
+    }
+
+    /// The pooled vector from the last recycle() (empty, capacity kept);
+    /// an empty fresh vector if none was returned yet.
+    [[nodiscard]] std::vector<net::PacketPtr> take_spare() { return std::move(spare_packets_); }
+
+private:
+    FilterRunner filter_;
+    PendingVerdicts pending_;
+    CaptureStats stats_;
+    std::vector<net::PacketPtr> spare_packets_;
+    obs::AppObserver* app_obs_ = nullptr;
 };
 
 }  // namespace capbench::capture

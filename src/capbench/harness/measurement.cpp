@@ -98,10 +98,10 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     bool stopped = false;
     sim::SimTime gen_end{};
     std::vector<sim::Duration> busy_after(bed.suts().size());
-    // Per sut, per app: delivered / dropped counters frozen at stop time
-    // (step 5 of Figure 3.2 kills the applications `drain` after the last
-    // packet; later deliveries do not count).
-    std::vector<std::vector<std::uint64_t>> delivered_at_stop(bed.suts().size());
+    // Per sut, per app: drop ledgers and pcap drop counters frozen at stop
+    // time (step 5 of Figure 3.2 kills the applications `drain` after the
+    // last packet; later deliveries do not count).
+    std::vector<std::vector<obs::DropLedger>> ledgers_at_stop(bed.suts().size());
     std::vector<std::uint64_t> drops_at_stop(bed.suts().size(), 0);
     std::vector<obs::SutSnapshot> snapshots;
 
@@ -117,14 +117,12 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
             busy_after[i] = bed.suts()[i]->machine().total_busy();
         // Step 5: stop the capturing applications after the stop delay.
         bed.sim().schedule_in(config.drain, [&] {
+            const std::uint64_t sent = bed.generator().stats().packets_sent;
             for (std::size_t i = 0; i < bed.suts().size(); ++i) {
                 auto& sut = *bed.suts()[i];
                 for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
-                    // A record spilled by the disk-writer ring was handed
-                    // to the app but never persisted; it does not count as
-                    // captured.  Zero without the pipeline.
-                    delivered_at_stop[i].push_back(sut.delivered(a) -
-                                                   sut.disk_spilled(a));
+                    ledgers_at_stop[i].push_back(obs::app_ledger(
+                        sut.nic(), sut.capture_stats(a), sut.disk_spilled(a), sent));
                     drops_at_stop[i] += sut.sessions()[a]->stats().ps_drop;
                 }
             }
@@ -141,12 +139,7 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
                     auto& sut = *bed.suts()[i];
                     obs::SutSnapshot snap;
                     snap.frames_seen = sut.nic().frames_seen();
-                    snap.ring_drops = sut.nic().ring_drops();
-                    snap.backlog_drops = sut.nic().backlog_drops();
-                    for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
-                        snap.apps.push_back(sut.capture_stats(a));
-                        snap.disk_spills.push_back(sut.disk_spilled(a));
-                    }
+                    snap.apps = ledgers_at_stop[i];
                     profilers[i]->stop();
                     snap.cpu_samples = profilers[i]->samples();
                     snapshots.push_back(std::move(snap));
@@ -172,14 +165,16 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     result.generated = generated;
     result.offered_mbps = bed.generator().stats().achieved_mbps();
     result.events_executed = bed.sim().events_executed();
-    result.event_queue_backend = sim::to_string(bed.sim().backend());
     const sim::Duration window = gen_end - (sim::SimTime{} + config.warmup);
     for (std::size_t i = 0; i < bed.suts().size(); ++i) {
         auto& sut = *bed.suts()[i];
         SutRunResult r;
         r.name = sut.config().name;
-        for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
-            const double pct = 100.0 * static_cast<double>(delivered_at_stop[i][a]) /
+        for (const obs::DropLedger& ledger : ledgers_at_stop[i]) {
+            // A record spilled by the disk-writer ring was handed to the
+            // app but never persisted; the ledger does not count it as
+            // delivered.
+            const double pct = 100.0 * static_cast<double>(ledger.delivered) /
                                static_cast<double>(generated);
             r.per_app_capture_pct.push_back(std::min(pct, 100.0));
         }

@@ -97,9 +97,6 @@ struct RunResult {
     /// the capbench_perf harness, deliberately NOT part of the scenario
     /// JSON schema (it would break byte-stable figures output).
     std::uint64_t events_executed = 0;
-    /// "heap" or "wheel": which event-queue backend the run used.  Like
-    /// events_executed, metadata only — not part of the scenario JSON.
-    std::string event_queue_backend;
     std::vector<SutRunResult> suts;
     /// Lifecycle metrics; `metrics.enabled` only when the run observed.
     /// Across run_repeated reps these are raw sums (never averaged), so the

@@ -107,12 +107,6 @@ public:
         return *endpoints_[app_index];
     }
 
-    /// Per-RSS-queue slices of application i's capture counters.
-    [[nodiscard]] const std::vector<capture::CaptureStats>& queue_capture_stats(
-        std::size_t app_index) const {
-        return endpoints_[app_index]->queue_stats();
-    }
-
     [[nodiscard]] load::DiskModel* disk() { return disk_.get(); }
 
     /// App i's disk-writer thread; null when the pipeline is disabled.

@@ -2,7 +2,32 @@
 
 #include <stdexcept>
 
+#include "capbench/capture/nic.hpp"
+#include "capbench/capture/tap.hpp"
+
 namespace capbench::obs {
+
+DropLedger app_ledger(const capture::Nic& nic, const capture::CaptureStats& stats,
+                      std::uint64_t spilled, std::uint64_t generated) {
+    if (spilled > stats.delivered)
+        throw std::logic_error("drop ledger: disk spills exceed delivered count");
+    DropLedger ledger;
+    ledger.delivered = stats.delivered - spilled;
+    ledger.drop_nic_ring = nic.ring_drops();
+    ledger.drop_backlog = nic.backlog_drops();
+    ledger.drop_verdict = stats.dropped_filter;
+    ledger.drop_bpf_store = stats.dropped_buffer;
+    ledger.drop_fanout = stats.fanout_skipped;
+    ledger.drop_disk_spill = spilled;
+    // The drain residual of monotone counters; it can only go negative if
+    // the accounting itself is broken, which we surface rather than clamp.
+    const std::uint64_t settled = ledger.delivered + ledger.drops_total();
+    if (settled > generated)
+        throw std::logic_error("drop ledger: drop buckets exceed generated count");
+    ledger.drop_drain = generated - settled;
+    return ledger;
+}
+
 namespace {
 
 void merge_samples(sim::SampleSet& into, const sim::SampleSet& from) {

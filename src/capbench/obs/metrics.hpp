@@ -25,10 +25,19 @@
 #include <utility>
 #include <vector>
 
+namespace capbench::capture {
+class Nic;
+struct CaptureStats;
+}
+
 namespace capbench::obs {
 
-/// One capture app (session) on one SUT.
-struct AppMetrics {
+/// One app's packet fates: what reached the application plus one cell
+/// per drop bucket of the closed taxonomy above.  Built from the raw
+/// counters only by app_ledger() below, which the observer's snapshot,
+/// the interval sampler and the measurement's stop-time capture rates
+/// all call, so every consumer reads the same cells.
+struct DropLedger {
     std::uint64_t delivered = 0;
 
     // Drop attribution.  `nic_ring` and `backlog` happen before the
@@ -42,38 +51,64 @@ struct AppMetrics {
     std::uint64_t drop_drain = 0;      // still in flight at window close
 
     [[nodiscard]] std::uint64_t drops_total() const;
+};
 
+/// One capture app (session) on one SUT: its ledger plus latencies.
+struct AppMetrics : DropLedger {
     // Lifecycle latencies, in sim nanoseconds.
     sim::SampleSet latency_ns;  // NIC arrival -> user delivery
     sim::SampleSet enqueue_ns;  // kernel hand-off -> capture-stack enqueue
     sim::SampleSet deliver_ns;  // enqueue -> user delivery
 };
 
-/// One named drop bucket of the closed taxonomy above, addressed as an
-/// AppMetrics member pointer so every consumer (metric JSON, time-series
-/// deltas, tests) iterates the same table instead of repeating the string
-/// literals — a future bucket added here reaches all of them at once.
+/// Where a drop bucket is counted.
+enum class DropScope : std::uint8_t {
+    kSut,  // before the per-app fan-out: one SUT count, mirrored per app
+    kApp,  // per capture app
+};
+
+/// One named drop bucket of the closed taxonomy above, addressed as a
+/// DropLedger member pointer so every consumer (metric JSON, time-series
+/// columns, conservation checks, the overload detector, tests) iterates
+/// the same table instead of naming buckets.  `overload` marks terminal
+/// loss under load; verdict and fanout are intended filtering/routing and
+/// drain is still in flight, so those never open an overload episode.
 struct DropSite {
     const char* name;
-    std::uint64_t AppMetrics::* member;
+    std::uint64_t DropLedger::* member;
+    DropScope scope;
+    bool overload;
 };
 
 /// Every drop bucket, in the emission order of `capbench.metrics.v1`.
 inline constexpr std::array<DropSite, 7> kDropSites{{
-    {"nic_ring", &AppMetrics::drop_nic_ring},
-    {"backlog", &AppMetrics::drop_backlog},
-    {"verdict", &AppMetrics::drop_verdict},
-    {"bpf_store", &AppMetrics::drop_bpf_store},
-    {"fanout", &AppMetrics::drop_fanout},
-    {"disk_spill", &AppMetrics::drop_disk_spill},
-    {"drain", &AppMetrics::drop_drain},
+    {"nic_ring", &DropLedger::drop_nic_ring, DropScope::kSut, true},
+    {"backlog", &DropLedger::drop_backlog, DropScope::kSut, true},
+    {"verdict", &DropLedger::drop_verdict, DropScope::kApp, false},
+    {"bpf_store", &DropLedger::drop_bpf_store, DropScope::kApp, true},
+    {"fanout", &DropLedger::drop_fanout, DropScope::kApp, false},
+    {"disk_spill", &DropLedger::drop_disk_spill, DropScope::kApp, true},
+    {"drain", &DropLedger::drop_drain, DropScope::kApp, false},
 }};
 
-inline std::uint64_t AppMetrics::drops_total() const {
+inline std::uint64_t DropLedger::drops_total() const {
     std::uint64_t total = 0;
     for (const DropSite& site : kDropSites) total += this->*site.member;
     return total;
 }
+
+/// Maps one app's raw counters to its ledger: NIC ring and backlog drops
+/// from the SUT's `nic`, the endpoint's capture `stats`, the records its
+/// disk-writer ring `spilled` (0 without the pipeline) and the packets
+/// `generated` so far.  A spilled record was delivered (counted in
+/// stats.delivered) but never persisted, so it moves from `delivered` to
+/// `disk_spill`; whatever is in no other bucket is still in flight and
+/// lands in `drain`, so delivered + Σdrops == generated holds exactly.
+/// Throws std::logic_error when the counters cannot close that identity
+/// (more spills than deliveries, more fates than generated packets).
+[[nodiscard]] DropLedger app_ledger(const capture::Nic& nic,
+                                    const capture::CaptureStats& stats,
+                                    std::uint64_t spilled, std::uint64_t generated);
 
 struct SutMetrics {
     std::string name;

@@ -10,12 +10,11 @@
 // without an observer pays one predictable branch.
 //
 // At the end of the measurement window the harness freezes the observer
-// (later stamps no longer feed the sample sets), snapshots the capture
-// counters, and `finalize()` folds everything into a `RunMetrics` whose
+// (later stamps no longer feed the sample sets), snapshots each app's
+// drop ledger, and `finalize()` folds everything into a `RunMetrics` whose
 // per-app drop buckets sum exactly to the generated packet count.
 #pragma once
 
-#include "capbench/capture/tap.hpp"
 #include "capbench/obs/metrics.hpp"
 #include "capbench/obs/registry.hpp"
 #include "capbench/obs/trace.hpp"
@@ -134,12 +133,7 @@ private:
 /// closes (same instant the headline capture counters are frozen).
 struct SutSnapshot {
     std::uint64_t frames_seen = 0;
-    std::uint64_t ring_drops = 0;
-    std::uint64_t backlog_drops = 0;
-    std::vector<capture::CaptureStats> apps;
-    /// Per-app disk-writer ring spills at window close; empty when the SUT
-    /// runs without the capture-to-disk pipeline.
-    std::vector<std::uint64_t> disk_spills;
+    std::vector<DropLedger> apps;  // app_ledger() per capture app
     std::vector<profiling::UsageSample> cpu_samples;
 };
 
@@ -171,7 +165,8 @@ public:
 
     /// Folds stamps + frozen counter snapshots into the run's metrics.
     /// `snapshots` must be in `add_sut` order; `generated` is the packet
-    /// count emitted by the generator.  Consumes the sample sets.
+    /// count emitted by the generator, which every app ledger must close
+    /// on.  Consumes the sample sets.
     RunMetrics finalize(const std::vector<SutSnapshot>& snapshots,
                         std::uint64_t generated);
 

@@ -50,8 +50,7 @@ void for_each_series(const TimeSeries& ts, Fn&& fn) {
     fn(ts.time_ns);
     fn(ts.generated);
     for (const SutSeries& s : ts.suts) {
-        fn(s.drop_nic_ring);
-        fn(s.drop_backlog);
+        for (const Series& d : s.drops) fn(d);
         fn(s.classification);
         for (const QueueSeries& q : s.queues) fn(q.ring_occupancy);
         for (const CpuSeries& c : s.cpus) {
@@ -63,11 +62,7 @@ void for_each_series(const TimeSeries& ts, Fn&& fn) {
         }
         for (const AppSeries& a : s.apps) {
             fn(a.delivered);
-            fn(a.drop_verdict);
-            fn(a.drop_bpf_store);
-            fn(a.drop_fanout);
-            fn(a.drop_disk_spill);
-            fn(a.drain);
+            for (const Series& d : a.drops) fn(d);
             fn(a.buffer_occupancy);
             fn(a.disk_ring);
         }
@@ -99,35 +94,37 @@ std::int64_t occupancy_pct_at(const SutSeries& s, std::size_t k) {
     return pct;
 }
 
-/// Terminal overload losses (NOT verdict/fanout — those are intended
-/// filtering/routing) at interval k.
-std::int64_t overload_loss_at(const SutSeries& s, std::size_t k) {
-    std::int64_t loss = s.drop_nic_ring.at(k) + s.drop_backlog.at(k);
-    for (const AppSeries& a : s.apps) loss += a.drop_bpf_store.at(k) + a.drop_disk_spill.at(k);
-    return loss;
+/// Interval delta of a ledger cell.  Every cell but `drain` is monotone;
+/// a shrinking drain wraps to the negative int64 difference.
+std::int64_t delta(std::uint64_t now, std::uint64_t prev) {
+    return static_cast<std::int64_t>(now - prev);
 }
 
 /// Classifies every interval and coalesces dropping runs into episodes.
 void run_overload_detector(TimeSeries& ts) {
     const std::size_t n = ts.sample_count();
     for (SutSeries& s : ts.suts) {
-        struct SiteSum {
-            const char* name;
-            std::int64_t sum;
-        };
-        std::array<SiteSum, 4> sites{};  // filled per episode below
+        std::array<std::int64_t, kDropSites.size()> site_sums{};  // per episode
         OverloadEpisode open{};
         bool in_episode = false;
         const auto close = [&] {
-            const SiteSum* best = &sites[0];
-            for (const SiteSum& cand : sites)
-                if (cand.sum > best->sum) best = &cand;
+            // The overload site with the largest loss; kDropSites order
+            // decides ties (first wins on equal sums).
+            const DropSite* best = nullptr;
+            std::int64_t best_sum = 0;
+            for (std::size_t d = 0; d < kDropSites.size(); ++d) {
+                if (!kDropSites[d].overload) continue;
+                if (best == nullptr || site_sums[d] > best_sum) {
+                    best = &kDropSites[d];
+                    best_sum = site_sums[d];
+                }
+            }
             open.dominant_site = best->name;
             s.episodes.push_back(open);
             in_episode = false;
         };
         for (std::size_t k = 0; k < n; ++k) {
-            const std::int64_t loss = overload_loss_at(s, k);
+            const std::int64_t loss = s.overload_loss_at(k);
             const std::int64_t occ = occupancy_pct_at(s, k);
             IntervalClass cls = IntervalClass::kHealthy;
             if (loss > 0)
@@ -144,28 +141,38 @@ void run_overload_detector(TimeSeries& ts) {
                 open = OverloadEpisode{};
                 open.first_interval = k;
                 open.start_ns = k == 0 ? 0 : ts.time_ns.at(k - 1);
-                // kDropSites order decides ties (first wins on equal sums).
-                sites = {{{kDropSites[0].name, 0},   // nic_ring
-                          {kDropSites[1].name, 0},   // backlog
-                          {kDropSites[3].name, 0},   // bpf_store
-                          {kDropSites[5].name, 0}}}; // disk_spill
+                site_sums.fill(0);
             }
             open.end_ns = ts.time_ns.at(k);
             open.intervals = k - open.first_interval + 1;
             open.dropped += static_cast<std::uint64_t>(loss);
             open.peak_occupancy_pct = std::max(open.peak_occupancy_pct, occ);
-            sites[0].sum += s.drop_nic_ring.at(k);
-            sites[1].sum += s.drop_backlog.at(k);
-            for (const AppSeries& a : s.apps) {
-                sites[2].sum += a.drop_bpf_store.at(k);
-                sites[3].sum += a.drop_disk_spill.at(k);
-            }
+            for (std::size_t d = 0; d < kDropSites.size(); ++d)
+                if (kDropSites[d].overload) site_sums[d] += s.site_loss_at(d, k);
         }
         if (in_episode) close();
     }
 }
 
 }  // namespace
+
+const Series& SutSeries::drop_column(std::size_t app, std::size_t site) const {
+    return kDropSites[site].scope == DropScope::kSut ? drops[site] : apps[app].drops[site];
+}
+
+std::int64_t SutSeries::site_loss_at(std::size_t site, std::size_t k) const {
+    if (kDropSites[site].scope == DropScope::kSut) return drops[site].at(k);
+    std::int64_t loss = 0;
+    for (const AppSeries& a : apps) loss += a.drops[site].at(k);
+    return loss;
+}
+
+std::int64_t SutSeries::overload_loss_at(std::size_t k) const {
+    std::int64_t loss = 0;
+    for (std::size_t d = 0; d < kDropSites.size(); ++d)
+        if (kDropSites[d].overload) loss += site_loss_at(d, k);
+    return loss;
+}
 
 std::size_t TimeSeries::chunk_count() const {
     std::size_t chunks = 0;
@@ -188,21 +195,12 @@ void TimeSeries::finalize_against(const RunMetrics& metrics) {
             throw std::logic_error("TimeSeries::finalize_against: app count mismatch");
         SutTotals st;
         for (std::size_t a = 0; a < ss.apps.size(); ++a) {
-            const AppSeries& as = ss.apps[a];
             const AppMetrics& am = sm.apps[a];
-            check_sum("delivered", as.delivered.sum(), am.delivered);
-            check_sum("nic_ring", ss.drop_nic_ring.sum(), am.drop_nic_ring);
-            check_sum("backlog", ss.drop_backlog.sum(), am.drop_backlog);
-            check_sum("verdict", as.drop_verdict.sum(), am.drop_verdict);
-            check_sum("bpf_store", as.drop_bpf_store.sum(), am.drop_bpf_store);
-            check_sum("fanout", as.drop_fanout.sum(), am.drop_fanout);
-            check_sum("disk_spill", as.drop_disk_spill.sum(), am.drop_disk_spill);
-            check_sum("drain", as.drain.sum(), am.drop_drain);
-            AppTotals at;
-            at.delivered = am.delivered;
+            check_sum("delivered", ss.apps[a].delivered.sum(), am.delivered);
             for (std::size_t d = 0; d < kDropSites.size(); ++d)
-                at.drops[d] = am.*kDropSites[d].member;
-            st.apps.push_back(at);
+                check_sum(kDropSites[d].name, ss.drop_column(a, d).sum(),
+                          am.*kDropSites[d].member);
+            st.apps.push_back(am);
         }
         totals.push_back(std::move(st));
     }
@@ -227,6 +225,9 @@ IntervalSampler::IntervalSampler(sim::Simulator& sim, sim::Duration interval,
         trace_generated_ = trace_->intern("ts:generated/ivl");
     }
     for (const SamplerSources::Sut& src : sources_.suts) {
+        // The SUT-scope columns are fed from app 0's ledger.
+        if (src.apps.empty())
+            throw std::invalid_argument("IntervalSampler: every SUT needs a capture app");
         SutSeries ss;
         ss.name = src.name;
         ss.nic_ring_capacity = src.nic->ring_capacity();
@@ -301,6 +302,7 @@ void IntervalSampler::sample_now() {
     const sim::SimTime now = sim_->now();
     const std::int64_t dt = now.ns() - last_sample_.ns();
     out_->time_ns.push(now.ns());
+    const std::size_t k = out_->sample_count() - 1;
     const std::uint64_t gen = *sources_.generated;
     const auto gen_delta = static_cast<std::int64_t>(gen - prev_generated_);
     prev_generated_ = gen;
@@ -312,16 +314,6 @@ void IntervalSampler::sample_now() {
         SutSeries& ss = out_->suts[s];
         PrevSut& ps = prev_[s];
         const TraceNames& names = trace_names_[s];
-
-        const std::uint64_t ring_total = src.nic->ring_drops();
-        const std::uint64_t backlog_total = src.nic->backlog_drops();
-        const auto ring_delta = static_cast<std::int64_t>(ring_total - ps.ring_drops);
-        const auto backlog_delta = static_cast<std::int64_t>(backlog_total - ps.backlog_drops);
-        ps.ring_drops = ring_total;
-        ps.backlog_drops = backlog_total;
-        ss.drop_nic_ring.push(ring_delta);
-        ss.drop_backlog.push(backlog_delta);
-        std::int64_t losses = ring_delta + backlog_delta;
 
         for (std::size_t j = 0; j < ss.queues.size(); ++j) {
             const auto occ =
@@ -366,35 +358,25 @@ void IntervalSampler::sample_now() {
         for (std::size_t a = 0; a < ss.apps.size(); ++a) {
             const SamplerSources::App& app = src.apps[a];
             AppSeries& as = ss.apps[a];
-            PrevApp& pa = ps.apps[a];
-            const capture::CaptureStats& st = app.endpoint->stats();
-            const std::uint64_t spilled = app.writer != nullptr ? app.writer->spilled() : 0;
-            const std::uint64_t delivered_net = st.delivered - spilled;
-            const auto push_delta = [](Series& series, std::uint64_t total,
-                                       std::uint64_t& prev_total) {
-                series.push(static_cast<std::int64_t>(total - prev_total));
-                prev_total = total;
-            };
-            push_delta(as.delivered, delivered_net, pa.delivered_net);
-            push_delta(as.drop_verdict, st.dropped_filter, pa.verdict);
-            push_delta(as.drop_bpf_store, st.dropped_buffer, pa.bpf_store);
-            push_delta(as.drop_fanout, st.fanout_skipped, pa.fanout);
-            push_delta(as.drop_disk_spill, spilled, pa.disk_spill);
-            // Signed in-flight change; telescopes to the drain residual.
-            const auto in_flight = static_cast<std::int64_t>(gen) -
-                                   static_cast<std::int64_t>(st.delivered + ring_total +
-                                                             backlog_total + st.dropped_filter +
-                                                             st.dropped_buffer +
-                                                             st.fanout_skipped);
-            as.drain.push(in_flight - pa.in_flight);
-            pa.in_flight = in_flight;
+            DropLedger& prev = ps.apps[a];
+            const DropLedger ledger =
+                app_ledger(*src.nic, app.endpoint->stats(),
+                           app.writer != nullptr ? app.writer->spilled() : 0, gen);
+            as.delivered.push(delta(ledger.delivered, prev.delivered));
+            for (std::size_t d = 0; d < kDropSites.size(); ++d) {
+                const DropSite& site = kDropSites[d];
+                // SUT-scope cells are mirrored into every app's ledger.
+                if (site.scope == DropScope::kApp)
+                    as.drops[d].push(delta(ledger.*site.member, prev.*site.member));
+                else if (a == 0)
+                    ss.drops[d].push(delta(ledger.*site.member, prev.*site.member));
+            }
+            prev = ledger;
             const auto buffer = static_cast<std::int64_t>(app.endpoint->buffer_occupancy());
             const auto disk_ring = static_cast<std::int64_t>(
                 app.writer != nullptr ? app.writer->ring_occupancy() : 0);
             as.buffer_occupancy.push(buffer);
             as.disk_ring.push(disk_ring);
-            const std::size_t k = as.delivered.size() - 1;
-            losses += as.drop_bpf_store.at(k) + as.drop_disk_spill.at(k);
             if (trace_) {
                 trace_->counter(src.trace_pid, kSamplerTid, names.app_buffer[a], now, buffer);
                 trace_->counter(src.trace_pid, kSamplerTid, names.app_disk_ring[a], now,
@@ -403,7 +385,9 @@ void IntervalSampler::sample_now() {
                                 as.delivered.at(k));
             }
         }
-        if (trace_) trace_->counter(src.trace_pid, kSamplerTid, names.losses, now, losses);
+        if (trace_)
+            trace_->counter(src.trace_pid, kSamplerTid, names.losses, now,
+                            ss.overload_loss_at(k));
     }
     last_sample_ = now;
 }

@@ -2,13 +2,14 @@
 //
 // An `IntervalSampler` rides the simulator clock: every `interval` it
 // snapshots gauges (NIC descriptor-ring fill, kernel backlog length,
-// capture-buffer fill, disk bring-ring fill) and turns the monotone run
-// counters into per-interval deltas (generated / delivered / every drop
-// bucket of obs::kDropSites).  The final sample is taken at the exact
-// freeze instant of the measurement window, so every delta column
-// telescopes to the corresponding aggregate counter — the conservation
-// invariant `Σ deltas == finalize aggregate` holds as an integer identity
-// and is re-checked in TimeSeries::finalize_against().
+// capture-buffer fill, disk bring-ring fill) and turns each app's drop
+// ledger (obs::app_ledger, the cells the aggregate metrics freeze) into
+// per-interval deltas: generated, delivered and one column per bucket of
+// obs::kDropSites.  The final sample is taken at the exact freeze instant
+// of the measurement window, so every delta column telescopes to the
+// corresponding aggregate counter — the conservation invariant
+// `Σ deltas == finalize aggregate` holds as an integer identity and is
+// re-checked in TimeSeries::finalize_against().
 //
 // The per-app `drain` column is the signed change of the in-flight count
 // (generated − delivered − terminal drops so far): packets entering the
@@ -21,9 +22,10 @@
 // nothing at all.
 //
 // On top of the raw series an `OverloadDetector` pass classifies each
-// interval — dropping (any terminal overload loss: nic_ring, backlog,
-// bpf_store or disk_spill), saturated (≥ kSaturatedOccupancyPct of any
-// ring/buffer capacity filled) or healthy — and coalesces consecutive
+// interval — dropping (any loss in a kDropSites bucket marked overload:
+// nic_ring, backlog, bpf_store or disk_spill), saturated
+// (≥ kSaturatedOccupancyPct of any ring/buffer capacity filled) or
+// healthy — and coalesces consecutive
 // dropping intervals into `OverloadEpisode`s annotated with start/end
 // sim-time, the dominant drop site and the peak occupancy.  Verdict and
 // fanout drops are intended filtering/routing, not overload, so they
@@ -36,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "capbench/obs/metrics.hpp"
 #include "capbench/sim/time.hpp"
 
 namespace capbench::sim {
@@ -55,7 +58,6 @@ class DiskWriterThread;
 namespace capbench::obs {
 
 class TraceSink;
-struct RunMetrics;
 
 /// Interval classification thresholds (see OverloadDetector above).
 inline constexpr std::int64_t kSaturatedOccupancyPct = 75;
@@ -124,13 +126,15 @@ struct QueueSeries {
     Series ring_occupancy;  // gauge: frames in the descriptor ring
 };
 
+/// One delta column per kDropSites entry.  A SutSeries fills the kSut
+/// scope entries and an AppSeries the kApp ones; the others stay empty
+/// (no chunks).  The `drain` column is the signed in-flight change (see
+/// the header comment).
+using DropColumns = std::array<Series, kDropSites.size()>;
+
 struct AppSeries {
-    Series delivered;  // delta, disk-spill-adjusted like AppMetrics
-    Series drop_verdict;
-    Series drop_bpf_store;
-    Series drop_fanout;
-    Series drop_disk_spill;
-    Series drain;            // signed in-flight change (see header comment)
+    Series delivered;  // delta, disk-spill-adjusted like the ledger
+    DropColumns drops;
     Series buffer_occupancy; // gauge, stack-native units
     Series disk_ring;        // gauge: records in the bring ring (0 = none)
 };
@@ -140,13 +144,22 @@ struct SutSeries {
     std::uint64_t nic_ring_capacity = 0;
     std::vector<std::uint64_t> app_buffer_capacity;
     std::vector<std::uint64_t> app_disk_ring_capacity;  // 0 = no writer
-    Series drop_nic_ring;  // SUT-level deltas, mirrored into every app
-    Series drop_backlog;   // by the conservation identity
+    DropColumns drops;  // SUT-level deltas, mirrored into every app
     std::vector<QueueSeries> queues;
     std::vector<CpuSeries> cpus;
     std::vector<AppSeries> apps;
     Series classification;  // IntervalClass per interval (detector output)
     std::vector<OverloadEpisode> episodes;
+
+    /// App `app`'s delta column of kDropSites[site] (SUT-scope sites share
+    /// the SUT column).
+    [[nodiscard]] const Series& drop_column(std::size_t app, std::size_t site) const;
+    /// Packets kDropSites[site] lost at interval k across the SUT: the
+    /// SUT column, or the sum of the app columns.
+    [[nodiscard]] std::int64_t site_loss_at(std::size_t site, std::size_t k) const;
+    /// Terminal overload losses at interval k: site_loss_at summed over
+    /// the sites marked `overload`.
+    [[nodiscard]] std::int64_t overload_loss_at(std::size_t k) const;
 };
 
 /// The collected run telemetry.  Owned by the caller of the measurement
@@ -158,15 +171,10 @@ public:
     Series generated;          // generator delta per interval
     std::vector<SutSeries> suts;
 
-    /// Aggregates frozen at finalize, for consumers that re-check
-    /// conservation without access to the RunMetrics (indexed like
-    /// kDropSites).
-    struct AppTotals {
-        std::uint64_t delivered = 0;
-        std::array<std::uint64_t, 7> drops{};
-    };
+    /// Ledgers frozen at finalize, for consumers that re-check
+    /// conservation without access to the RunMetrics.
     struct SutTotals {
-        std::vector<AppTotals> apps;
+        std::vector<DropLedger> apps;
     };
     std::uint64_t generated_total = 0;
     std::vector<SutTotals> totals;
@@ -221,23 +229,13 @@ private:
     void tick();
     void sample_now();
 
-    struct PrevApp {
-        std::uint64_t delivered_net = 0;
-        std::uint64_t verdict = 0;
-        std::uint64_t bpf_store = 0;
-        std::uint64_t fanout = 0;
-        std::uint64_t disk_spill = 0;
-        std::int64_t in_flight = 0;
-    };
     struct PrevCpu {
         std::int64_t user_ns = 0;
         std::int64_t system_ns = 0;
         std::int64_t interrupt_ns = 0;
     };
     struct PrevSut {
-        std::uint64_t ring_drops = 0;
-        std::uint64_t backlog_drops = 0;
-        std::vector<PrevApp> apps;
+        std::vector<DropLedger> apps;  // the previous sample's ledgers
         std::vector<PrevCpu> cpus;
     };
     /// Interned Perfetto counter-track names; empty when untraced.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "capbench/core/capbench.hpp"
-#include "capbench/obs/metrics.hpp"
 
 namespace capbench::report {
 
@@ -46,17 +45,25 @@ JsonValue episode(const obs::OverloadEpisode& ep) {
     return out;
 }
 
+/// The counter columns of every kDropSites bucket counted at `scope`.
+JsonValue drops(obs::DropScope scope, const obs::DropLedger& totals,
+                const obs::DropColumns& columns) {
+    JsonValue out = JsonValue::object();
+    for (std::size_t d = 0; d < obs::kDropSites.size(); ++d) {
+        const obs::DropSite& site = obs::kDropSites[d];
+        if (site.scope == scope) out.set(site.name, counter(totals.*site.member, columns[d]));
+    }
+    return out;
+}
+
 JsonValue sut(const obs::SutSeries& s, const obs::TimeSeries::SutTotals& totals) {
     JsonValue out = JsonValue::object();
     out.set("name", s.name);
     out.set("nic_ring_capacity", s.nic_ring_capacity);
 
     // SUT-level drop buckets.  The aggregates are mirrored into every
-    // app's AppMetrics, so app 0's totals are THE totals.
-    JsonValue drops = JsonValue::object();
-    drops.set(obs::kDropSites[0].name, counter(totals.apps[0].drops[0], s.drop_nic_ring));
-    drops.set(obs::kDropSites[1].name, counter(totals.apps[0].drops[1], s.drop_backlog));
-    out.set("drops", std::move(drops));
+    // app's ledger, so app 0's totals are THE totals.
+    out.set("drops", drops(obs::DropScope::kSut, totals.apps[0], s.drops));
 
     JsonValue queues = JsonValue::array();
     for (const obs::QueueSeries& q : s.queues) {
@@ -81,16 +88,9 @@ JsonValue sut(const obs::SutSeries& s, const obs::TimeSeries::SutTotals& totals)
     JsonValue apps = JsonValue::array();
     for (std::size_t a = 0; a < s.apps.size(); ++a) {
         const obs::AppSeries& as = s.apps[a];
-        const obs::TimeSeries::AppTotals& at = totals.apps[a];
         JsonValue app = JsonValue::object();
-        app.set("delivered", counter(at.delivered, as.delivered));
-        JsonValue adrops = JsonValue::object();
-        adrops.set(obs::kDropSites[2].name, counter(at.drops[2], as.drop_verdict));
-        adrops.set(obs::kDropSites[3].name, counter(at.drops[3], as.drop_bpf_store));
-        adrops.set(obs::kDropSites[4].name, counter(at.drops[4], as.drop_fanout));
-        adrops.set(obs::kDropSites[5].name, counter(at.drops[5], as.drop_disk_spill));
-        adrops.set(obs::kDropSites[6].name, counter(at.drops[6], as.drain));
-        app.set("drops", std::move(adrops));
+        app.set("delivered", counter(totals.apps[a].delivered, as.delivered));
+        app.set("drops", drops(obs::DropScope::kApp, totals.apps[a], as.drops));
         app.set("buffer_capacity", s.app_buffer_capacity[a]);
         app.set("buffer_occupancy", series_array(as.buffer_occupancy));
         app.set("disk_ring_capacity", s.app_disk_ring_capacity[a]);
@@ -114,13 +114,6 @@ JsonValue sut(const obs::SutSeries& s, const obs::TimeSeries::SutTotals& totals)
 std::int64_t delivered_at(const obs::SutSeries& s, std::size_t k) {
     std::int64_t sum = 0;
     for (const obs::AppSeries& a : s.apps) sum += a.delivered.at(k);
-    return sum;
-}
-
-std::int64_t losses_at(const obs::SutSeries& s, std::size_t k) {
-    std::int64_t sum = s.drop_nic_ring.at(k) + s.drop_backlog.at(k);
-    for (const obs::AppSeries& a : s.apps)
-        sum += a.drop_bpf_store.at(k) + a.drop_disk_spill.at(k);
     return sum;
 }
 
@@ -174,7 +167,7 @@ void write_timeseries_gnuplot(const std::string& dir, const std::string& id,
         data << ts.time_ns.at(k) << " " << ts.generated.at(k);
         for (const obs::SutSeries& s : ts.suts)
             data << " " << ring_occupancy_at(s, k) << " " << buffer_occupancy_at(s, k) << " "
-                 << delivered_at(s, k) << " " << losses_at(s, k);
+                 << delivered_at(s, k) << " " << s.overload_loss_at(k);
         data << "\n";
     }
 

@@ -3,13 +3,18 @@
 // output against the inline writer, and the drop identity at harness level.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "capbench/capture/os.hpp"
 #include "capbench/harness/measurement.hpp"
 #include "capbench/load/disk_writer.hpp"
 #include "capbench/net/arena.hpp"
 #include "capbench/pcap/file.hpp"
+#include "capbench/report/json.hpp"
+#include "capbench/report/metrics_writer.hpp"
+#include "capbench/scenario/runner.hpp"
 
 namespace capbench::load {
 namespace {
@@ -234,7 +239,45 @@ TEST(DiskWriterPipeline, DropIdentityStaysExactWithSpills) {
         EXPECT_EQ(app.delivered + app.drops_total(), result.metrics.generated)
             << to_string(spill);
         EXPECT_GT(app.delivered, 0u);
+        EXPECT_GT(app.drop_disk_spill, 0u) << to_string(spill);
     }
+
+    // The ext_disk_writer scenario through the metrics document: every
+    // variant has points, every app record has a disk_spill bucket and
+    // closes the identity, the inline variant never spills and a drop
+    // policy does.
+    const scenario::Scenario* s = scenario::find_scenario("ext_disk_writer");
+    ASSERT_NE(s, nullptr);
+    scenario::RunOptions opts;
+    opts.packets = 4'000;
+    opts.reps = 1;
+    opts.metrics = true;
+    opts.gnuplot_env_fallback = false;
+    const auto doc = report::parse_json(report::MetricsWriter::serialize(
+        report::MetricsWriter::document(scenario::run_scenario(*s, opts))));
+    EXPECT_EQ(doc.at("id").as_string(), "ext_disk_writer");
+    std::map<std::string, std::int64_t> spill_by_suffix;
+    for (const auto& variant : doc.at("variants").as_array()) {
+        const std::string& suffix = variant.at("suffix").as_string();
+        EXPECT_FALSE(variant.at("points").as_array().empty()) << suffix;
+        std::int64_t& spilled = spill_by_suffix[suffix];
+        for (const auto& point : variant.at("points").as_array()) {
+            for (const auto& sut : point.at("suts").as_array()) {
+                for (const auto& app : sut.at("apps").as_array()) {
+                    const auto& drops = app.at("drops");
+                    ASSERT_NE(drops.find("disk_spill"), nullptr) << suffix;
+                    std::int64_t accounted = app.at("delivered").as_int();
+                    for (const auto& [name, n] : drops.as_object()) accounted += n.as_int();
+                    EXPECT_EQ(accounted, point.at("generated").as_int()) << suffix;
+                    spilled += drops.at("disk_spill").as_int();
+                }
+            }
+        }
+    }
+    for (const char* suffix : {"-inline", "-ring256", "-ring32-dropnew", "-ring32-dropold"})
+        EXPECT_EQ(spill_by_suffix.count(suffix), 1u) << suffix;
+    EXPECT_EQ(spill_by_suffix["-inline"], 0);
+    EXPECT_GT(spill_by_suffix["-ring32-dropnew"] + spill_by_suffix["-ring32-dropold"], 0);
 }
 
 TEST(DiskWriterPipeline, BlockPolicySpillsNothing) {

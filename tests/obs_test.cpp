@@ -12,6 +12,7 @@
 #include "capbench/obs/trace.hpp"
 #include "capbench/report/json.hpp"
 #include "capbench/report/metrics_writer.hpp"
+#include "capbench/scenario/runner.hpp"
 
 namespace capbench {
 namespace {
@@ -294,6 +295,40 @@ TEST(ObsMetricsDoc, WriterEmitsSchemaAndDropBuckets) {
     for (const obs::DropSite& site : obs::kDropSites) total += drops.at(site.name).as_int();
     EXPECT_EQ(total, static_cast<std::int64_t>(result.generated));
     EXPECT_TRUE(sut.at("cpu").at("samples").as_int() > 0);
+
+    // A whole figure sweep through the suite document: schemas, CPU
+    // samples and the per-app identity at every point.
+    const scenario::Scenario* fig = scenario::find_scenario("fig_6_2");
+    ASSERT_NE(fig, nullptr);
+    scenario::RunOptions opts;
+    opts.packets = 1'000;
+    opts.reps = 1;
+    opts.metrics = true;
+    opts.gnuplot_env_fallback = false;
+    const auto suite = report::parse_json(report::MetricsWriter::serialize(
+        report::MetricsWriter::suite({report::MetricsWriter::document(
+            scenario::run_scenario(*fig, opts))})));
+    EXPECT_EQ(suite.at("schema").as_string(), "capbench.metrics-suite.v1");
+    int checked = 0;
+    for (const auto& doc : suite.at("results").as_array()) {
+        EXPECT_EQ(doc.at("schema").as_string(), "capbench.metrics.v1");
+        for (const auto& variant : doc.at("variants").as_array()) {
+            for (const auto& point : variant.at("points").as_array()) {
+                const std::int64_t generated = point.at("generated").as_int();
+                for (const auto& s : point.at("suts").as_array()) {
+                    EXPECT_GT(s.at("cpu").at("samples").as_int(), 0) << s.at("name").as_string();
+                    for (const auto& a : s.at("apps").as_array()) {
+                        std::int64_t accounted = a.at("delivered").as_int();
+                        for (const auto& [name, n] : a.at("drops").as_object())
+                            accounted += n.as_int();
+                        EXPECT_EQ(accounted, generated) << variant.at("name").as_string();
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0);
 }
 
 // ---- BPF filter-install counters and cache accounting -------------------------

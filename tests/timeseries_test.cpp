@@ -1,15 +1,20 @@
 // Interval time-series telemetry tests (ISSUE 10): Series storage, the
-// conservation invariant, overload-episode alignment with the square-wave
-// workload, and byte-identity of the rendered document across job counts,
-// event-queue backends and BPF execution tiers.
+// conservation invariant and its per-column rejection, overload-episode
+// alignment with the square-wave workload, and byte-identity of the
+// rendered document across job counts, event-queue backends and BPF
+// execution tiers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "capbench/harness/experiment.hpp"
 #include "capbench/harness/measurement.hpp"
 #include "capbench/obs/timeseries.hpp"
+#include "capbench/report/json.hpp"
+#include "capbench/report/metrics_writer.hpp"
 #include "capbench/report/timeseries_writer.hpp"
 #include "capbench/scenario/runner.hpp"
 
@@ -113,22 +118,50 @@ TEST(Timeseries, ConservationHoldsOnADroppingRun) {
     ASSERT_EQ(ts.suts.size(), 1u);
     const obs::SutSeries& s = ts.suts[0];
     ASSERT_EQ(s.apps.size(), 1u);
-    const obs::TimeSeries::AppTotals& totals = ts.totals[0].apps[0];
-    std::uint64_t accounted = totals.delivered;
-    for (const std::uint64_t d : totals.drops) accounted += d;
+    const obs::DropLedger& totals = ts.totals[0].apps[0];
     // nic_ring and backlog are mirrored per app, so the 7-bucket app sum
     // IS the whole identity.
-    EXPECT_EQ(accounted, result.generated);
+    EXPECT_EQ(totals.delivered + totals.drops_total(), result.generated);
     EXPECT_EQ(static_cast<std::uint64_t>(s.apps[0].delivered.sum()), totals.delivered);
     // The run must actually have dropped somewhere for this test to bite.
-    std::uint64_t dropped = 0;
-    for (const std::uint64_t d : totals.drops) dropped += d;
-    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(totals.drops_total(), 0u);
     // One classification value per sample, all within the enum.
     EXPECT_EQ(s.classification.size(), ts.sample_count());
     for (std::size_t k = 0; k < s.classification.size(); ++k) {
         EXPECT_GE(s.classification.at(k), 0);
         EXPECT_LE(s.classification.at(k), 2);
+    }
+
+    // The rendered document carries the same identities: one delta per
+    // sample in every counter, each summing to its total, and (one app)
+    // delivered + the SUT and app drop buckets == generated.
+    const auto doc = report::parse_json(
+        report::TimeseriesWriter::serialize(report::TimeseriesWriter::document(ts, "pulse")));
+    EXPECT_EQ(doc.at("schema").as_string(), "capbench.timeseries.v1");
+    const std::int64_t samples = doc.at("samples").as_int();
+    EXPECT_GT(samples, 0);
+    EXPECT_EQ(static_cast<std::int64_t>(doc.at("time_ns").as_array().size()), samples);
+    const auto check = [&](const report::JsonValue& counter, const std::string& path) {
+        const auto& deltas = counter.at("deltas").as_array();
+        EXPECT_EQ(static_cast<std::int64_t>(deltas.size()), samples) << path;
+        std::int64_t sum = 0;
+        for (const auto& d : deltas) sum += d.as_int();
+        EXPECT_EQ(sum, counter.at("total").as_int()) << path;
+        return counter.at("total").as_int();
+    };
+    const std::int64_t generated = check(doc.at("generated"), "generated");
+    for (const auto& sut : doc.at("suts").as_array()) {
+        std::int64_t accounted = 0;
+        for (const auto& [name, counter] : sut.at("drops").as_object())
+            accounted += check(counter, name);
+        const auto& apps = sut.at("apps").as_array();
+        ASSERT_EQ(apps.size(), 1u);
+        accounted += check(apps[0].at("delivered"), "delivered");
+        for (const auto& [name, counter] : apps[0].at("drops").as_object())
+            accounted += check(counter, name);
+        EXPECT_EQ(accounted, generated);
+        EXPECT_EQ(static_cast<std::int64_t>(sut.at("classification").as_array().size()),
+                  samples);
     }
 }
 
@@ -154,6 +187,10 @@ TEST(Timeseries, EpisodesAlignWithTheBursts) {
                               phase >= period - cfg.sample_interval.ns();
         EXPECT_TRUE(in_burst) << "episode start " << ep.start_ns << " phase " << phase;
     }
+    // The metrics suite document carries the episodes too.
+    const auto suite = report::parse_json(
+        report::MetricsWriter::serialize(report::MetricsWriter::suite({}, &ts)));
+    EXPECT_EQ(suite.at("overload_episodes").as_array().size(), s.episodes.size());
 }
 
 TEST(Timeseries, SamplingDoesNotPerturbTheRun) {
@@ -182,6 +219,75 @@ TEST(Timeseries, RunRepeatedSamplesRepZeroOnly) {
     EXPECT_GT(ts.sample_count(), 0u);
     EXPECT_EQ(static_cast<std::uint64_t>(ts.generated.sum()), ts.generated_total);
 }
+
+// ---- conservation rejection -----------------------------------------------------
+
+/// finalize_against must reject a delta column that does not telescope to
+/// its aggregate, for every column of the ledger: `delivered` and each
+/// kDropSites bucket.
+class BrokenColumn : public ::testing::TestWithParam<std::string> {};
+
+std::vector<std::string> ledger_columns() {
+    std::vector<std::string> names{"delivered"};
+    for (const obs::DropSite& site : obs::kDropSites) names.emplace_back(site.name);
+    return names;
+}
+
+TEST_P(BrokenColumn, FinalizeAgainstRejectsItNamingTheSite) {
+    const std::string& broken = GetParam();
+    // One SUT, one app, two intervals; every bucket holds a distinct total.
+    obs::RunMetrics metrics;
+    metrics.enabled = true;
+    metrics.suts.resize(1);
+    metrics.suts[0].apps.resize(1);
+    obs::AppMetrics& app = metrics.suts[0].apps[0];
+    app.delivered = 100;
+    for (std::size_t d = 0; d < obs::kDropSites.size(); ++d)
+        app.*obs::kDropSites[d].member = 10 + d;
+    metrics.generated = app.delivered + app.drops_total();
+
+    // Columns that telescope to the totals, except `perturb` whose second
+    // interval is one off.
+    const auto build = [&](const std::string& perturb) {
+        obs::TimeSeries ts;
+        ts.suts.resize(1);
+        obs::SutSeries& s = ts.suts[0];
+        s.apps.resize(1);
+        const auto fill = [&](obs::Series& column, std::uint64_t total, const std::string& name) {
+            const auto half = static_cast<std::int64_t>(total / 2);
+            column.push(half);
+            column.push(static_cast<std::int64_t>(total) - half + (name == perturb ? 1 : 0));
+        };
+        fill(ts.generated, metrics.generated, "generated");
+        fill(s.apps[0].delivered, app.delivered, "delivered");
+        for (std::size_t d = 0; d < obs::kDropSites.size(); ++d) {
+            const obs::DropSite& site = obs::kDropSites[d];
+            obs::Series& column =
+                site.scope == obs::DropScope::kSut ? s.drops[d] : s.apps[0].drops[d];
+            fill(column, app.*site.member, site.name);
+        }
+        return ts;
+    };
+
+    obs::TimeSeries intact = build("");
+    EXPECT_NO_THROW(intact.finalize_against(metrics));
+    EXPECT_TRUE(intact.finalized);
+
+    obs::TimeSeries ts = build(broken);
+    try {
+        ts.finalize_against(metrics);
+        FAIL() << "a broken " << broken << " column was accepted";
+    } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find("Σ" + broken + " deltas"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(ts.finalized);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryLedgerColumn, BrokenColumn, ::testing::ValuesIn(ledger_columns()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                             return info.param;
+                         });
 
 // ---- document rendering -------------------------------------------------------
 
