@@ -98,11 +98,10 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     bool stopped = false;
     sim::SimTime gen_end{};
     std::vector<sim::Duration> busy_after(bed.suts().size());
-    // Per sut, per app: drop ledgers and pcap drop counters frozen at stop
-    // time (step 5 of Figure 3.2 kills the applications `drain` after the
-    // last packet; later deliveries do not count).
+    // Per sut, per app: drop ledgers frozen at stop time (step 5 of Figure
+    // 3.2 kills the applications `drain` after the last packet; later
+    // deliveries and drops do not count).
     std::vector<std::vector<obs::DropLedger>> ledgers_at_stop(bed.suts().size());
-    std::vector<std::uint64_t> drops_at_stop(bed.suts().size(), 0);
     std::vector<obs::SutSnapshot> snapshots;
 
     bed.sim().schedule_at(sim::SimTime{} + config.warmup, [&] {
@@ -120,15 +119,13 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
             const std::uint64_t sent = bed.generator().stats().packets_sent;
             for (std::size_t i = 0; i < bed.suts().size(); ++i) {
                 auto& sut = *bed.suts()[i];
-                for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
+                for (std::size_t a = 0; a < sut.sessions().size(); ++a)
                     ledgers_at_stop[i].push_back(obs::app_ledger(
                         sut.nic(), sut.capture_stats(a), sut.disk_spilled(a), sent));
-                    drops_at_stop[i] += sut.sessions()[a]->stats().ps_drop;
-                }
             }
             // The sampler's final sample happens in this same event, so
-            // its delta columns telescope exactly to the counters the
-            // snapshots below freeze (the conservation invariant).
+            // its delta columns telescope exactly to the ledgers frozen
+            // above (the conservation invariant).
             if (sampler) sampler->stop();
             if (observer) {
                 // Freeze the observer and snapshot every counter at the
@@ -177,8 +174,8 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
             const double pct = 100.0 * static_cast<double>(ledger.delivered) /
                                static_cast<double>(generated);
             r.per_app_capture_pct.push_back(std::min(pct, 100.0));
+            r.buffer_drops += ledger.drop_bpf_store;  // pcap_stats ps_drop
         }
-        r.buffer_drops = drops_at_stop[i];
         r.capture_worst_pct =
             *std::min_element(r.per_app_capture_pct.begin(), r.per_app_capture_pct.end());
         r.capture_best_pct =
