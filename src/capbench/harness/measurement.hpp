@@ -93,9 +93,10 @@ struct SutRunResult {
 struct RunResult {
     std::uint64_t generated = 0;     // from the switch counters
     double offered_mbps = 0.0;       // achieved generator rate
-    /// Simulator events executed for this run — a perf metric consumed by
-    /// the capbench_perf harness, deliberately NOT part of the scenario
-    /// JSON schema (it would break byte-stable figures output).
+    /// Simulator events executed for this run — read by the benchmark
+    /// probe (`sim.events_per_pkt`) and by the disk writer's determinism
+    /// test, deliberately NOT part of the scenario JSON schema (it would
+    /// break byte-stable figures output).
     std::uint64_t events_executed = 0;
     std::vector<SutRunResult> suts;
     /// Lifecycle metrics; `metrics.enabled` only when the run observed.

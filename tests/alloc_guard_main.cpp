@@ -34,24 +34,11 @@
 #include "capbench/pktgen/pktgen.hpp"
 #include "capbench/sim/simulator.hpp"
 
+#include "sanitizers.hpp"
+
 namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
-
-bool sanitizers_active() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-    return true;
-#else
-    return false;
-#endif
-#else
-    return false;
-#endif
-}
 
 /// Debugging aid: set to true around a failing guarded region to dump a
 /// backtrace (to stderr) for every allocation it performs.

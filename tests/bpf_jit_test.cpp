@@ -1,25 +1,36 @@
 // Tier-2 (native x86-64) BPF execution: three-tier equivalence property
 // sweep, exact abort semantics, W^X mapping lifecycle, the non-x86-64
-// fallback policy, and the program cache's jit/stats extensions.
+// fallback policy, the program cache's jit/stats extensions, and the
+// speed gate over threaded dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/asm_text.hpp"
 #include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/assembler.hpp"
 #include "capbench/bpf/jit/exec_memory.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
 #include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/validator.hpp"
+#include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
+#include "capbench/harness/experiment.hpp"
+#include "capbench/net/link.hpp"
+#include "capbench/pktgen/pktgen.hpp"
+#include "capbench/sim/simulator.hpp"
 
 #include "bpf_random_program.hpp"
+#include "sanitizers.hpp"
 
 namespace capbench::bpf {
 namespace {
@@ -307,6 +318,68 @@ TEST(JitProgramCache, JitRequestOnFreshProgramCompilesWithTheMiss) {
     EXPECT_EQ(after.misses - before.misses, 1u);
     EXPECT_EQ(after.jit_compiles - before.jit_compiles, 1u);
     EXPECT_EQ(after.hits - before.hits, 0u);
+}
+
+// ---- speed gate over threaded dispatch --------------------------------------
+
+/// One full-bytes frame of `size` bytes as the generator builds it (the
+/// frames the Figure 6.6 runs filter).
+std::vector<std::byte> generated_frame(std::uint32_t size) {
+    sim::Simulator sim;
+    net::Link link{sim};
+    pktgen::GenConfig cfg;
+    cfg.count = 1;
+    cfg.packet_size = size;
+    cfg.full_bytes = true;
+    pktgen::Generator gen{sim, link, pktgen::GenNicModel::syskonnect(), std::move(cfg)};
+    struct Sink : net::FrameSink {
+        net::PacketPtr packet;
+        void on_frame(const net::PacketPtr& p) override { packet = p; }
+    } sink;
+    link.attach(sink);
+    gen.start(sim::SimTime{});
+    sim.run();
+    const auto bytes = sink.packet->bytes();
+    return {bytes.begin(), bytes.end()};
+}
+
+// The native tier must beat verifier-backed threaded dispatch by a clear
+// margin, not just noise, on the optimized Figure 6.5 program over a
+// frame-size mix.  Each tier keeps the fastest of several interleaved
+// timings, so a burst of load on a shared host slows both or neither.
+TEST(JitSpeed, BeatsThreadedDispatchOnTheFig65Filter) {
+    if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
+    if (sanitizers_active()) GTEST_SKIP() << "sanitizer instrumentation distorts the timings";
+    const Program prog = filter::compile_filter(harness::fig_6_5_filter_expression(), 1515);
+    const DecodedProgram decoded = decode(prog, verify(prog).facts);
+    const auto jitted = JitProgram::compile(decoded);
+    std::vector<std::vector<std::byte>> frames;
+    for (const std::uint32_t size : {64u, 128u, 256u, 645u, 1024u, 1514u})
+        frames.push_back(generated_frame(size));
+
+    constexpr int kRuns = 100'000;
+    std::uint64_t threaded_sum = 0;
+    std::uint64_t jit_sum = 0;
+    const auto seconds = [&](auto run) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kRuns; ++i) run(frames[i % frames.size()]);
+        return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    };
+    double threaded_s = std::numeric_limits<double>::infinity();
+    double jit_s = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < 7; ++round) {
+        threaded_s = std::min(threaded_s, seconds([&](const std::vector<std::byte>& frame) {
+            threaded_sum += ThreadedVm::run(decoded, frame).accept_len;
+        }));
+        jit_s = std::min(jit_s, seconds([&](const std::vector<std::byte>& frame) {
+            jit_sum += jitted->run(frame, static_cast<std::uint32_t>(frame.size())).accept_len;
+        }));
+    }
+    // The verdicts feed an assertion, so neither loop can be optimized away.
+    EXPECT_EQ(threaded_sum, jit_sum);
+    EXPECT_GT(jit_sum, 0u);
+    EXPECT_GE(threaded_s / jit_s, 1.5)
+        << "threaded " << threaded_s << " s, jit " << jit_s << " s over " << kRuns << " runs";
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Multi-queue RSS receive path: flow steering across NIC queues, per-queue
 // IRQ affinity and counters that sum to the aggregates, the three fanout
-// delivery modes, and the closed per-app drop identity once fanout enters
-// the picture.
+// delivery modes, the closed per-app drop identity once fanout enters
+// the picture, and the ext_multiqueue scenario's scaling shape.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "capbench/harness/measurement.hpp"
 #include "capbench/harness/testbed.hpp"
+#include "capbench/report/json.hpp"
+#include "capbench/report/writer.hpp"
+#include "capbench/scenario/registry.hpp"
+#include "capbench/scenario/runner.hpp"
 
 namespace capbench::harness {
 namespace {
@@ -243,6 +250,68 @@ TEST(MultiQueueObs, PerQueueNicCountersAppearInTheRegistry) {
     }
     EXPECT_EQ(frame_counters, 4);
     EXPECT_EQ(frames_total, result.metrics.generated);
+}
+
+// ---- the ext_multiqueue scenario through its JSON document ------------------
+
+// The sim is deterministic, so these are exact expectations, with wide
+// margins only to keep the check robust against future model tuning:
+// capture rate must scale with the queue count at overload, and the
+// skewed indirection table must cost a measurable share of that scaling.
+TEST(MultiQueueScenario, CaptureScalesWithQueuesAndSkewCostsIt) {
+    const scenario::Scenario* s = scenario::find_scenario("ext_multiqueue");
+    ASSERT_NE(s, nullptr);
+    scenario::RunOptions opts;
+    opts.jobs = 4;
+    opts.packets = 4'000;
+    opts.reps = 1;
+    opts.gnuplot_env_fallback = false;
+    const auto doc = report::parse_json(report::JsonWriter::serialize(
+        report::JsonWriter::document(scenario::run_scenario(*s, opts))));
+    EXPECT_EQ(doc.at("id").as_string(), "ext_multiqueue");
+    EXPECT_EQ(doc.at("x_label").as_string(), "queues");
+    std::map<std::string, const report::JsonValue*> variants;
+    for (const auto& v : doc.at("variants").as_array()) variants[v.at("suffix").as_string()] = &v;
+    for (const char* suffix : {"-10g", "-40g", "-skew", "-qfan", "-cfan"})
+        ASSERT_EQ(variants.count(suffix), 1u) << suffix;
+
+    const auto swan_capture = [](const report::JsonValue& variant, double x) {
+        for (const auto& point : variant.at("points").as_array()) {
+            if (point.at("x").as_double() != x) continue;
+            for (const auto& sut : point.at("suts").as_array()) {
+                if (sut.at("name").as_string() == "swan")
+                    return sut.at("capture_avg_pct").as_double();
+            }
+        }
+        ADD_FAILURE() << "no swan result at x=" << x;
+        return 0.0;
+    };
+    for (const char* suffix : {"-10g", "-40g"}) {
+        const report::JsonValue& v = *variants[suffix];
+        std::vector<double> xs;
+        for (const auto& point : v.at("points").as_array()) xs.push_back(point.at("x").as_double());
+        EXPECT_EQ(xs, (std::vector<double>{1.0, 2.0, 4.0, 8.0})) << suffix;
+        const double r1 = swan_capture(v, 1.0);
+        const double r2 = swan_capture(v, 2.0);
+        const double r4 = swan_capture(v, 4.0);
+        EXPECT_GT(r2, r1 + 10) << suffix;
+        EXPECT_GT(r4, r2 + 10) << suffix;
+    }
+    const double balanced4 = swan_capture(*variants["-10g"], 4.0);
+    const double skewed4 = swan_capture(*variants["-skew"], 4.0);
+    EXPECT_LT(skewed4, balanced4 - 20);
+
+    // Fanout variants split the stream over 4 apps: the per-app rates
+    // exist and every drop field is present per SUT.
+    for (const char* suffix : {"-qfan", "-cfan"}) {
+        for (const auto& point : variants[suffix]->at("points").as_array()) {
+            for (const auto& sut : point.at("suts").as_array()) {
+                EXPECT_EQ(sut.at("per_app_capture_pct").as_array().size(), 4u) << suffix;
+                for (const char* key : {"nic_ring_drops", "backlog_drops", "buffer_drops"})
+                    EXPECT_NE(sut.find(key), nullptr) << suffix << " " << key;
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 // Chrome JSON export, packet-lifecycle metrics and their invariants.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/harness/experiment.hpp"
 #include "capbench/harness/measurement.hpp"
 #include "capbench/obs/observer.hpp"
 #include "capbench/obs/registry.hpp"
+#include "capbench/obs/timeseries.hpp"
 #include "capbench/obs/trace.hpp"
 #include "capbench/report/json.hpp"
 #include "capbench/report/metrics_writer.hpp"
@@ -263,6 +266,31 @@ TEST(ObsTraceRun, MeasurementEmitsLoadableTimeline) {
         if (n == "sut:flamingo") names[3] = true;
     }
     for (const bool seen : names) EXPECT_TRUE(seen);
+
+    // The same run with interval sampling on adds the sampler's counter
+    // lane, so every phase the timeline uses appears: metadata, CPU
+    // slices, IRQ instants and counters.  Every event names its process
+    // and itself, and every non-metadata event has a numeric timestamp.
+    obs::TraceSink sampled;
+    obs::TimeSeries ts;
+    cfg.trace = &sampled;
+    cfg.timeseries = &ts;
+    cfg.sample_interval = sim::microseconds(500);
+    harness::run_once(harness::standard_suts(), cfg);
+    std::ostringstream sampled_os;
+    sampled.write_chrome_json(sampled_os);
+    const report::JsonValue sampled_doc = report::parse_json(sampled_os.str());
+    std::set<std::string> phases;
+    for (const auto& e : sampled_doc.at("traceEvents").as_array()) {
+        const std::string& ph = e.at("ph").as_string();
+        phases.insert(ph);
+        EXPECT_NE(e.find("pid"), nullptr) << ph;
+        EXPECT_NE(e.find("name"), nullptr) << ph;
+        if (ph == "M") continue;
+        const report::JsonValue* ts_field = e.find("ts");
+        EXPECT_TRUE(ts_field != nullptr && ts_field->is_number()) << ph;
+    }
+    for (const char* ph : {"M", "X", "i", "C"}) EXPECT_EQ(phases.count(ph), 1u) << ph;
 }
 
 TEST(ObsTraceRun, TimelineIsDeterministic) {
