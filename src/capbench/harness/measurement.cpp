@@ -45,7 +45,6 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
 
     tb.link_gbps = config.link_gbps;
     tb.distribute_round_robin = config.distribute_round_robin;
-    tb.event_queue = config.event_queue;
     Testbed bed{std::move(tb)};
     if (observer) observer->reserve(config.packets);
     bed.start_suts();

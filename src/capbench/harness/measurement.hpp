@@ -39,9 +39,8 @@ struct RunConfig {
     /// Round-robin load distribution instead of the passive splitter
     /// (Section 7.2's distributed-analysis extension).
     bool distribute_round_robin = false;
-    /// Event-queue priority backend for the run's simulator (heap or
-    /// wheel); results are bit-identical under either, only speed differs.
-    sim::EventQueueBackend event_queue = sim::event_queue_backend_from_env();
+    /// One-value compatibility field (see sim/event_queue.hpp); unread.
+    sim::EventQueueBackend event_queue = sim::EventQueueBackend::kWheel;
     sim::Duration warmup = sim::milliseconds(50);
     /// Time between the last generated packet and stopping the capture
     /// applications (step 5 of Figure 3.2 follows generation immediately;

@@ -6,7 +6,7 @@
 // then increments through the pointer with a single null check when
 // observability is disabled.  Counters are insertion-ordered, so the
 // snapshot that lands in the capbench.metrics.v1 document is byte-stable
-// across runs, `--jobs` values and event-queue backends.
+// across runs and `--jobs` values.
 #pragma once
 
 #include <cstdint>

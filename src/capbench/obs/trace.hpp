@@ -6,7 +6,7 @@
 // Perfetto / chrome://tracing.  All timestamps are sim-time nanoseconds;
 // the writer converts to the format's microsecond unit with an exact
 // decimal rendering (no floating point), so output is byte-stable across
-// platforms, `--jobs` values and event-queue backends.
+// platforms and `--jobs` values.
 //
 // Event names and categories are interned `const char*`s: hot-path
 // emitters pass string literals (or a pointer previously returned by

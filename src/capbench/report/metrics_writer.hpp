@@ -3,7 +3,7 @@
 // (`capbench_figures --metrics=<file>`); one document per scenario, with
 // per-sweep-point drop attribution, latency summaries, cpusage/trimusage
 // results and the counter-registry snapshot.  Like every capbench report
-// it is byte-stable across `--jobs` and event-queue backends.
+// it is byte-stable across `--jobs` values.
 #pragma once
 
 #include <string>

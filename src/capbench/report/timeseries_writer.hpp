@@ -3,8 +3,8 @@
 // --timeseries=<file>`.  One document per run: raw delta/gauge columns,
 // the frozen aggregates they telescope to (so consumers can re-check the
 // conservation invariant offline), the per-interval classification and
-// the coalesced overload episodes.  Byte-stable across `--jobs` and
-// event-queue backends like every capbench report.
+// the coalesced overload episodes.  Byte-stable across `--jobs` values
+// like every capbench report.
 #pragma once
 
 #include <string>

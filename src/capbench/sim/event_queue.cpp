@@ -1,40 +1,19 @@
 #include "capbench/sim/event_queue.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 #include <utility>
 
 namespace capbench::sim {
 
-const char* to_string(EventQueueBackend backend) {
-    return backend == EventQueueBackend::kWheel ? "wheel" : "heap";
-}
+const char* to_string(EventQueueBackend /*backend*/) { return "wheel"; }
 
-EventQueueBackend event_queue_backend_from_env() {
-    const char* raw = std::getenv("CAPBENCH_EVENT_QUEUE");
-    if (raw == nullptr) return EventQueueBackend::kHeap;
-    const std::string_view value{raw};
-    if (value == "heap") return EventQueueBackend::kHeap;
-    if (value == "wheel") return EventQueueBackend::kWheel;
-    throw std::runtime_error("CAPBENCH_EVENT_QUEUE must be \"heap\" or \"wheel\", got \"" +
-                             std::string(value) + "\"");
-}
+EventQueueBackend event_queue_backend_from_env() { return EventQueueBackend::kWheel; }
 
 EventHandle EventQueue::push(SimTime t, Action action) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
     s.action = std::move(action);
-    s.state = SlotState::kScheduled;
-    const std::uint64_t seq = next_seq_++;
-    if (backend_ == EventQueueBackend::kWheel) {
-        wheel_.insert(slot, t, seq);
-    } else {
-        heap_push(HeapEntry{t, seq, slot});
-    }
-    ++live_;
+    wheel_.insert(slot, t, next_seq_++);
     ++stats_.pushed;
     return EventHandle{this, slot, s.generation};
 }
@@ -42,54 +21,33 @@ EventHandle EventQueue::push(SimTime t, Action action) {
 void EventQueue::cancel(std::uint32_t slot, std::uint64_t generation) {
     if (slot >= slots_.size()) return;
     Slot& s = slots_[slot];
-    if (s.generation != generation || s.state != SlotState::kScheduled) return;
+    if (s.generation != generation) return;
     // Bump the generation so every handle to this event goes inert, and
     // destroy the callback now so captured resources are released eagerly.
     ++s.generation;
     s.action.reset();
-    --live_;
     ++stats_.cancelled;
-    if (backend_ == EventQueueBackend::kWheel) {
-        // The wheel unlinks in O(1), so the slot goes straight back to the
-        // freelist — no tombstone, no backlog.
-        wheel_.erase(slot);
-        release_slot(slot);
-    } else {
-        // The heap entry stays behind as a tombstone until it surfaces.
-        s.state = SlotState::kCancelled;
-        ++cancelled_backlog_;
-    }
+    // The wheel unlinks in O(1), so the slot goes straight back to the
+    // freelist: no tombstone is left behind.
+    wheel_.erase(slot);
+    release_slot(slot);
 }
 
 bool EventQueue::is_pending(std::uint32_t slot, std::uint64_t generation) const {
     if (slot >= slots_.size()) return false;
     const Slot& s = slots_[slot];
-    return s.generation == generation && s.state == SlotState::kScheduled;
+    return s.generation == generation;
 }
 
 SimTime EventQueue::next_time() {
-    if (backend_ == EventQueueBackend::kWheel) {
-        if (wheel_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
-        return wheel_.min_time();
-    }
-    purge_cancelled_head();
-    if (heap_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
-    return heap_.front().time;
+    if (wheel_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
+    return wheel_.min_time();
 }
 
 SimTime EventQueue::pop_and_run() {
+    if (wheel_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
     SimTime time;
-    std::uint32_t slot = kNoSlot;
-    if (backend_ == EventQueueBackend::kWheel) {
-        if (wheel_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
-        slot = wheel_.pop_min(time);
-    } else {
-        purge_cancelled_head();
-        if (heap_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
-        time = heap_.front().time;
-        slot = heap_.front().slot;
-        heap_pop_front();
-    }
+    const std::uint32_t slot = wheel_.pop_min(time);
     Slot& s = slots_[slot];
     // Move the action out and release the slot before running: the action
     // may push new events (which can reuse this slot) and EventHandles to
@@ -98,28 +56,23 @@ SimTime EventQueue::pop_and_run() {
     s.action.reset();
     ++s.generation;
     release_slot(slot);
-    --live_;
     ++stats_.executed;
     action();
     return time;
 }
 
 void EventQueue::clear() {
-    // Bump generations of every occupied slot so outstanding handles are
+    // Bump every slot's generation so outstanding handles are
     // inert, then rebuild a pristine freelist over the whole slab.
-    heap_.clear();
     wheel_.clear();
     free_head_ = kNoSlot;
     for (std::size_t i = slots_.size(); i > 0; --i) {
         Slot& s = slots_[i - 1];
-        if (s.state != SlotState::kFree) ++s.generation;
-        s.state = SlotState::kFree;
+        ++s.generation;
         s.action.reset();
         s.next_free = free_head_;
         free_head_ = static_cast<std::uint32_t>(i - 1);
     }
-    live_ = 0;
-    cancelled_backlog_ = 0;
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -137,57 +90,8 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::release_slot(std::uint32_t index) {
     Slot& s = slots_[index];
-    s.state = SlotState::kFree;
     s.next_free = free_head_;
     free_head_ = index;
-}
-
-void EventQueue::purge_cancelled_head() {
-    while (!heap_.empty() && slots_[heap_.front().slot].state == SlotState::kCancelled) {
-        const std::uint32_t slot = heap_.front().slot;
-        heap_pop_front();
-        release_slot(slot);
-        --cancelled_backlog_;
-    }
-}
-
-// ---- 4-ary min-heap ----------------------------------------------------------
-//
-// A 4-ary heap halves the tree depth of the binary heap and keeps parent and
-// children within one or two cache lines of HeapEntry (24 B), which measures
-// faster for the push/pop mix the simulator produces.
-
-void EventQueue::heap_push(HeapEntry entry) {
-    heap_.push_back(entry);
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (!earlier(heap_[i], heap_[parent])) break;
-        std::swap(heap_[i], heap_[parent]);
-        i = parent;
-    }
-}
-
-void EventQueue::heap_pop_front() {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-}
-
-void EventQueue::sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-        const std::size_t first_child = 4 * i + 1;
-        if (first_child >= n) return;
-        std::size_t best = first_child;
-        const std::size_t last_child = std::min(first_child + 4, n);
-        for (std::size_t c = first_child + 1; c < last_child; ++c) {
-            if (earlier(heap_[c], heap_[best])) best = c;
-        }
-        if (!earlier(heap_[best], heap_[i])) return;
-        std::swap(heap_[i], heap_[best]);
-        i = best;
-    }
 }
 
 }  // namespace capbench::sim

@@ -6,17 +6,10 @@
 // (no allocation in steady state) and cancellation is a generation check —
 // no per-event shared_ptr control block.
 //
-// Two priority backends index the slab behind the identical interface and
-// pop in the identical (time, seq) total order, selected per queue (default
-// from the CAPBENCH_EVENT_QUEUE environment variable):
-//  * kHeap — a 4-ary min-heap of 24-byte (time, seq, slot) entries,
-//    O(log n) per operation.  Cancellation is lazy: the slot is released
-//    and its callback destroyed immediately, but the heap entry stays as a
-//    tombstone until it surfaces; cancelled_backlog() counts those.
-//  * kWheel — a hierarchical timing wheel (sim/timing_wheel.*), O(1)
-//    amortized push/pop for the dense-timer steady state.  Cancellation
-//    unlinks in O(1); the wheel keeps no tombstones, so
-//    cancelled_backlog() stays 0.
+// A hierarchical timing wheel (sim/timing_wheel.*) indexes the slab by slot
+// index: O(1) amortized push/pop for the dense-timer steady state, and an
+// O(1) unlink on cancellation, so a cancelled slot goes straight back to the
+// freelist.
 //
 //  * EventHandle is (queue, slot index, generation).  A slot's generation
 //    is bumped whenever its event fires or is cancelled, so stale handles —
@@ -38,17 +31,22 @@ namespace capbench::sim {
 
 class EventQueue;
 
-/// Which priority structure an EventQueue indexes its slab with.
-enum class EventQueueBackend : std::uint8_t { kHeap, kWheel };
+// ---- one-value compatibility names --------------------------------------
+// The timing wheel is the only priority structure.  The names below, plus
+// RunConfig::event_queue, TestbedConfig::event_queue and
+// Simulator(EventQueueBackend), survive only because the benchmark probe
+// (benchmark/probe) still spells them; each has exactly one value and
+// selects nothing.  Delete them together with their uses there.
 
-/// "heap" or "wheel".
+enum class EventQueueBackend : std::uint8_t { kWheel };
+
+/// Always "wheel".
 [[nodiscard]] const char* to_string(EventQueueBackend backend);
 
-/// Reads CAPBENCH_EVENT_QUEUE: unset defaults to kHeap, "heap"/"wheel"
-/// select a backend, anything else throws std::runtime_error (the same
-/// fail-loudly convention as the CAPBENCH_JOBS family — a typo must not
-/// silently benchmark the wrong implementation).
+/// Always kWheel; reads no environment variable.
 [[nodiscard]] EventQueueBackend event_queue_backend_from_env();
+
+// ---- end of compatibility names ------------------------------------------
 
 /// Handle to a scheduled event; allows cancellation.  Copyable; all copies
 /// refer to the same scheduled event.  A default-constructed handle is
@@ -85,25 +83,15 @@ public:
         std::uint64_t cancelled = 0;
     };
 
-    explicit EventQueue(EventQueueBackend backend = event_queue_backend_from_env())
-        : backend_(backend) {}
-
-    [[nodiscard]] EventQueueBackend backend() const { return backend_; }
-
     /// Schedules `action` to run at absolute time `t`.
     EventHandle push(SimTime t, Action action);
 
-    /// True when no live events remain (cancelled events do not count).
-    [[nodiscard]] bool empty() const { return live_ == 0; }
+    /// True when no live events remain.
+    [[nodiscard]] bool empty() const { return wheel_.empty(); }
 
     /// Number of live (scheduled, not cancelled) events — the queue-depth
-    /// signal.  Lazily-cancelled entries are excluded.
-    [[nodiscard]] std::size_t size() const { return live_; }
-
-    /// Cancelled entries still occupying heap positions (they are discarded
-    /// when they surface).  Always 0 under the wheel backend, which unlinks
-    /// eagerly.  Exposed for stats/diagnostics.
-    [[nodiscard]] std::size_t cancelled_backlog() const { return cancelled_backlog_; }
+    /// signal.
+    [[nodiscard]] std::size_t size() const { return wheel_.size(); }
 
     /// Number of slab slots ever created (capacity high-water mark).
     [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
@@ -127,27 +115,11 @@ private:
 
     static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-    enum class SlotState : std::uint8_t { kFree, kScheduled, kCancelled };
-
     struct Slot {
         Action action;
         std::uint64_t generation = 0;
         std::uint32_t next_free = kNoSlot;
-        SlotState state = SlotState::kFree;
     };
-
-    /// Heap entries carry the ordering key so comparisons never chase the
-    /// slot indirection.
-    struct HeapEntry {
-        SimTime time;
-        std::uint64_t seq = 0;
-        std::uint32_t slot = 0;
-    };
-
-    static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-        if (a.time != b.time) return a.time < b.time;
-        return a.seq < b.seq;
-    }
 
     void cancel(std::uint32_t slot, std::uint64_t generation);
     [[nodiscard]] bool is_pending(std::uint32_t slot, std::uint64_t generation) const;
@@ -155,23 +127,10 @@ private:
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t index);
 
-    // 4-ary min-heap over heap_ ordered by earlier().
-    void heap_push(HeapEntry entry);
-    void heap_pop_front();
-    void sift_down(std::size_t i);
-
-    /// Discards cancelled entries from the heap head until the head is live
-    /// (or the heap is empty).
-    void purge_cancelled_head();
-
-    EventQueueBackend backend_ = EventQueueBackend::kHeap;
     std::vector<Slot> slots_;
-    std::vector<HeapEntry> heap_;  // kHeap backend
-    TimingWheel wheel_;            // kWheel backend (ids are slab slot indices)
+    TimingWheel wheel_;  // ids are slab slot indices
     std::uint32_t free_head_ = kNoSlot;
     std::uint64_t next_seq_ = 0;
-    std::size_t live_ = 0;
-    std::size_t cancelled_backlog_ = 0;
     Stats stats_;
 };
 

@@ -13,16 +13,17 @@ namespace capbench::sim {
 /// Owns the clock and the event queue; components schedule callbacks on it.
 class Simulator {
 public:
-    explicit Simulator(EventQueueBackend backend = event_queue_backend_from_env())
-        : queue_(backend) {}
+    Simulator() = default;
+    /// One-value compatibility constructor (see event_queue.hpp).
+    explicit Simulator(EventQueueBackend /*backend*/) {}
 
     [[nodiscard]] SimTime now() const { return now_; }
 
-    /// Which priority backend the event queue runs on (heap or wheel).
-    [[nodiscard]] EventQueueBackend backend() const { return queue_.backend(); }
-
-    /// Schedules `action` to run `delay` after the current time.
+    /// Schedules `action` to run `delay` after the current time (the delay
+    /// must not be negative).
     EventHandle schedule_in(Duration delay, EventQueue::Action action) {
+        if (delay < Duration::zero())
+            throw std::logic_error("Simulator::schedule_in with a negative delay");
         return queue_.push(now_ + delay, std::move(action));
     }
 

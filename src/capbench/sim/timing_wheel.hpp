@@ -1,13 +1,12 @@
 // Hierarchical timing wheel (Varghese/Lauck) — the O(1) priority structure
-// behind the event queue's "wheel" backend.
+// behind the event queue.
 //
 // The wheel orders externally-owned ids (the event queue's slab slot
-// indices) by the same (time, sequence) key as the 4-ary heap backend, so
-// pops are deterministic and figure output is byte-identical under either
-// backend.  Five levels of 1024 buckets cover 2^50 ns (~13 simulated days)
-// of absolute time; events whose tick falls outside the cursor's top-level
-// block live on a far-future overflow list that is re-ingested when the
-// wheels drain.
+// indices) by the exact (time, sequence) key, so simultaneous events pop in
+// push order and runs are deterministic.  Five levels of 1024 buckets cover
+// 2^50 ns (~13 simulated days) of absolute time; events whose tick falls
+// outside the cursor's top-level block live on a far-future overflow list
+// that is re-ingested when the wheels drain.
 //
 // Zero steady-state allocation: per-id link/key state lives in a vector
 // indexed by id (grown alongside the event queue's slab, never per event)

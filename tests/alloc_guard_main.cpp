@@ -104,12 +104,13 @@ struct ChainEvent {
     }
 };
 
-void check_event_loop_steady_state(sim::EventQueueBackend backend) {
-    sim::Simulator sim{backend};
+TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    sim::Simulator sim;
     std::uint64_t remaining = 10'000;
     for (int chain = 0; chain < 8; ++chain)
         sim.schedule_in(sim::Duration{chain + 1}, ChainEvent{&sim, &remaining});
-    sim.run();  // warmup: grows the slab and the priority structure to final size
+    sim.run();  // warmup: grows the slab and the timing wheel to final size
     ASSERT_EQ(remaining, 0u);
 
     remaining = 100'000;
@@ -117,22 +118,12 @@ void check_event_loop_steady_state(sim::EventQueueBackend backend) {
         sim.schedule_in(sim::Duration{chain + 1}, ChainEvent{&sim, &remaining});
     const std::uint64_t allocs = allocations_during([&] { sim.run(); });
     EXPECT_EQ(remaining, 0u);
-    EXPECT_EQ(allocs, 0u) << "event loop allocated in steady state ("
-                          << sim::to_string(backend) << " backend)";
+    EXPECT_EQ(allocs, 0u) << "event loop allocated in steady state";
 }
 
-TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocate) {
+TEST(AllocGuard, EventCancellationDoesNotAllocate) {
     SKIP_UNDER_SANITIZERS();
-    check_event_loop_steady_state(sim::EventQueueBackend::kHeap);
-}
-
-TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocateOnWheel) {
-    SKIP_UNDER_SANITIZERS();
-    check_event_loop_steady_state(sim::EventQueueBackend::kWheel);
-}
-
-void check_cancel_churn_steady_state(sim::EventQueueBackend backend) {
-    sim::Simulator sim{backend};
+    sim::Simulator sim;
     const auto churn = [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
             auto doomed = sim.schedule_in(sim::Duration{1000}, [] {});
@@ -144,18 +135,7 @@ void check_cancel_churn_steady_state(sim::EventQueueBackend backend) {
     };
     churn(64);  // warmup
     const std::uint64_t allocs = allocations_during([&] { churn(10'000); });
-    EXPECT_EQ(allocs, 0u) << "cancel/reschedule churn allocated in steady state ("
-                          << sim::to_string(backend) << " backend)";
-}
-
-TEST(AllocGuard, EventCancellationDoesNotAllocate) {
-    SKIP_UNDER_SANITIZERS();
-    check_cancel_churn_steady_state(sim::EventQueueBackend::kHeap);
-}
-
-TEST(AllocGuard, EventCancellationDoesNotAllocateOnWheel) {
-    SKIP_UNDER_SANITIZERS();
-    check_cancel_churn_steady_state(sim::EventQueueBackend::kWheel);
+    EXPECT_EQ(allocs, 0u) << "cancel/reschedule churn allocated in steady state";
 }
 
 /// Sink that retains each packet briefly (one in flight), like a capture

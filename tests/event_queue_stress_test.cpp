@@ -1,12 +1,12 @@
 // Stress tests for the slab-backed event queue: slot reuse under heavy
 // cancellation (the ABA hazard generation stamps exist to prevent),
-// clear() semantics, and the live-only size accounting.  Every test runs
-// against both priority backends (4-ary heap and hierarchical timing
-// wheel); they must pop the identical (time, seq) total order.
-#include <algorithm>
+// clear() semantics, the live-only size accounting, and the timing wheel's
+// (time, seq) total order across every level and its far-future overflow
+// list, checked against an independent std::multimap reference model.
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,92 +20,192 @@ namespace {
 
 sim::SimTime at(std::int64_t ns) { return sim::SimTime{} + sim::Duration{ns}; }
 
-class EventQueueStress : public ::testing::TestWithParam<sim::EventQueueBackend> {
-protected:
-    [[nodiscard]] bool heap_backend() const {
-        return GetParam() == sim::EventQueueBackend::kHeap;
-    }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueStress,
-                         ::testing::Values(sim::EventQueueBackend::kHeap,
-                                           sim::EventQueueBackend::kWheel),
-                         [](const auto& info) { return std::string(sim::to_string(info.param)); });
-
-TEST_P(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
-    // Drive the slab queue and a reference model (multimap of live events
-    // ordered by the same (time, push-seq) key) with one random
-    // push/cancel/pop mix; every pop must execute exactly the reference
-    // model's minimum.  The interleaved cancels and drains force heavy
-    // slot reuse while stale handles are still alive — the ABA scenario
-    // the generation stamps exist for.
-    sim::Rng rng(20260806);
-    sim::EventQueue q{GetParam()};
-    std::uint64_t last_fired = 0;
-    bool fired_flag = false;
-
+/// Drives an EventQueue and a reference model side by side: a multimap of
+/// the live events ordered by the same (time, push-seq) key.  Every pop
+/// must fire exactly the model's minimum, at its time.
+class ModelledQueue {
+public:
     using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
-    std::multimap<Key, std::uint64_t> reference;         // -> id
-    std::vector<std::pair<sim::EventHandle, Key>> pending;
-    std::uint64_t next_id = 0;
-    std::uint64_t ref_seq = 0;
 
-    const auto push_one = [&](std::int64_t t) {
-        const std::uint64_t id = next_id++;
-        auto handle = q.push(at(t), [&last_fired, &fired_flag, id] {
-            last_fired = id;
-            fired_flag = true;
-        });
-        const Key key{t, ref_seq++};
-        reference.emplace(key, id);
-        pending.emplace_back(handle, key);
-    };
+    /// Schedules an event at `t`; returns its push index for cancel().
+    std::size_t push(std::int64_t t) {
+        const std::uint64_t id = handles_.size();
+        const Key key{t, id};  // ids are handed out in push order: id == seq
+        handles_.emplace_back(q_.push(at(t), [this, id] { fired_ = id; }), key);
+        reference_.emplace(key, id);
+        return id;
+    }
 
-    const auto cancel_random = [&] {
-        if (pending.empty()) return;
-        const std::size_t pick = static_cast<std::size_t>(rng.next_below(pending.size()));
-        auto [handle, key] = pending[pick];
+    /// Cancels the event pushed as `index` if it is still pending; a second
+    /// cancel through the now-stale handle must be a no-op.
+    void cancel(std::size_t index) {
+        auto& [handle, key] = handles_[index];
         if (handle.pending()) {
             handle.cancel();
-            reference.erase(key);
+            reference_.erase(key);
         }
         EXPECT_FALSE(handle.pending());
-        handle.cancel();  // double-cancel via a now-stale handle: no-op
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-    };
+        handle.cancel();
+    }
 
-    const auto pop_and_check = [&] {
-        ASSERT_FALSE(reference.empty());
-        fired_flag = false;
-        q.pop_and_run();
-        ASSERT_TRUE(fired_flag) << "pop executed nothing";
-        EXPECT_EQ(last_fired, reference.begin()->second)
-            << "queue violated the (time, seq) total order";
-        reference.erase(reference.begin());
-    };
+    /// Pops one event and checks it against the model.
+    void pop_and_check() {
+        ASSERT_FALSE(reference_.empty());
+        fired_ = kNone;
+        const sim::SimTime t = q_.pop_and_run();
+        const auto head = reference_.begin();
+        ASSERT_NE(fired_, kNone) << "pop executed nothing";
+        EXPECT_EQ(fired_, head->second) << "queue violated the (time, seq) total order";
+        EXPECT_EQ(t, at(head->first.first));
+        last_popped_ = head->first.first;
+        reference_.erase(head);
+    }
+
+    void drain_and_check() {
+        while (!q_.empty()) pop_and_check();
+        EXPECT_TRUE(reference_.empty());
+    }
+
+    [[nodiscard]] std::size_t pushed() const { return handles_.size(); }
+    [[nodiscard]] std::int64_t last_popped() const { return last_popped_; }
+    [[nodiscard]] std::size_t live() const { return reference_.size(); }
+    [[nodiscard]] const sim::EventQueue& queue() const { return q_; }
+
+private:
+    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+    sim::EventQueue q_;
+    std::vector<std::pair<sim::EventHandle, Key>> handles_;
+    std::multimap<Key, std::uint64_t> reference_;  // -> id
+    std::uint64_t fired_ = kNone;
+    std::int64_t last_popped_ = 0;
+};
+
+TEST(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
+    // One random push/cancel/pop mix.  The interleaved cancels and drains
+    // force heavy slot reuse while stale handles are still alive — the ABA
+    // scenario the generation stamps exist for.
+    sim::Rng rng(20260806);
+    ModelledQueue m;
+    std::vector<std::size_t> pending;  // push indices not yet picked for cancel
 
     for (int round = 0; round < 400; ++round) {
         const int pushes = 1 + static_cast<int>(rng.next_below(8));
         for (int i = 0; i < pushes; ++i)
-            push_one(static_cast<std::int64_t>(rng.next_below(50)));
+            pending.push_back(m.push(static_cast<std::int64_t>(rng.next_below(50))));
         const int cancels = static_cast<int>(rng.next_below(6));
-        for (int i = 0; i < cancels; ++i) cancel_random();
+        for (int i = 0; i < cancels && !pending.empty(); ++i) {
+            const std::size_t pick = static_cast<std::size_t>(rng.next_below(pending.size()));
+            m.cancel(pending[pick]);
+            pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
         const int pops = static_cast<int>(rng.next_below(5));
-        for (int i = 0; i < pops && !q.empty(); ++i) pop_and_check();
-        EXPECT_EQ(q.size(), reference.size());
+        for (int i = 0; i < pops && !m.queue().empty(); ++i) m.pop_and_check();
+        EXPECT_EQ(m.queue().size(), m.live());
     }
-    while (!q.empty()) pop_and_check();
+    m.drain_and_check();
 
-    EXPECT_TRUE(reference.empty());
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.stats().pushed, next_id);
-    EXPECT_EQ(q.stats().pushed, q.stats().executed + q.stats().cancelled);
+    const auto& stats = m.queue().stats();
+    EXPECT_EQ(m.queue().size(), 0u);
+    EXPECT_EQ(stats.pushed, m.pushed());
+    EXPECT_EQ(stats.pushed, stats.executed + stats.cancelled);
 }
 
-TEST_P(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
+TEST(EventQueueStress, DenseTimesWithFarJumpsMatchReferenceModel) {
+    // Dense near-term ticks mixed with occasional 2^20..2^49 ns jumps, so
+    // pops run through cascades from every wheel level, plus random
+    // cancels of any event ever pushed (fired ones included: a no-op).
+    // Each far event is pushed twice at the same time: the pair rides the
+    // cascades down together and must still pop in push order.  (The dense
+    // ticks alone almost never share a tick inside one cascaded bucket.)
+    sim::Rng rng(0xC0FFEE);
+    ModelledQueue m;
+
+    for (int round = 0; round < 300; ++round) {
+        const int pushes = 1 + static_cast<int>(rng.next_below(6));
+        for (int i = 0; i < pushes; ++i) {
+            std::int64_t t = static_cast<std::int64_t>(rng.next_below(2'000));
+            if (rng.next_below(20) == 0) {
+                t += std::int64_t{1} << (20 + rng.next_below(30));
+                m.push(t);
+            }
+            m.push(t);
+        }
+        if (m.pushed() > 0 && rng.next_below(3) == 0)
+            m.cancel(static_cast<std::size_t>(rng.next_below(m.pushed())));
+        const int pops = static_cast<int>(rng.next_below(4));
+        for (int i = 0; i < pops && !m.queue().empty(); ++i) m.pop_and_check();
+        ASSERT_EQ(m.queue().size(), m.live());
+    }
+    m.drain_and_check();
+}
+
+TEST(EventQueueStress, OverflowListMatchesReferenceModel) {
+    // The wheel's five 1024-bucket levels span 2^50 ns from the cursor's
+    // top-level block; anything beyond waits on the overflow list and is
+    // re-ingested once the wheels drain.  Push at and past 2^50 and 2^51,
+    // cancel overflow entries (head, tail and middle), pop through two
+    // re-ingests, push again relative to the moved cursor, then run a
+    // random phase whose jumps reach 2^52.
+    constexpr std::int64_t k50 = std::int64_t{1} << 50;
+    constexpr std::int64_t k51 = std::int64_t{1} << 51;
+    ModelledQueue m;
+
+    for (const std::int64_t t : {std::int64_t{0}, std::int64_t{7}, std::int64_t{1} << 30, k50 - 1})
+        m.push(t);
+    const std::size_t overflow_head = m.push(k50 + 9);
+    m.push(k50);
+    m.push(k50);  // equal time: must pop in push order
+    const std::size_t overflow_mid = m.push(k50 + 1);
+    m.push(k51 - 1);
+    m.push(k51);
+    m.push(k51 + 12'345);
+    m.push(k51 + k50);
+    m.push(std::int64_t{1} << 62);
+    const std::size_t overflow_tail = m.push(k51 + 1);
+    m.cancel(overflow_head);
+    m.cancel(overflow_mid);
+    m.cancel(overflow_tail);
+    ASSERT_EQ(m.queue().size(), m.live());
+
+    // Four wheel entries, then the first re-ingest (cursor jumps to 2^50).
+    for (int i = 0; i < 6; ++i) m.pop_and_check();
+    ASSERT_EQ(m.last_popped(), k50);
+
+    // Push again behind the moved cursor: near it, at an occupied time, and
+    // past the new top-level block (back onto the overflow list).
+    m.push(k50 + 3);
+    m.push(k51 - 1);
+    m.push(k51);
+    m.push(k51 + k50 + 2);
+    const std::size_t doomed = m.push(k51 * 4);
+    m.cancel(doomed);
+
+    // Drain through the second re-ingest (everything at or past 2^51).
+    for (int i = 0; i < 5; ++i) m.pop_and_check();
+    ASSERT_EQ(m.last_popped(), k51);
+
+    sim::Rng rng(0xF4A11);
+    for (int round = 0; round < 300; ++round) {
+        const int pushes = 1 + static_cast<int>(rng.next_below(4));
+        for (int i = 0; i < pushes; ++i) {
+            std::int64_t t = m.last_popped() + static_cast<std::int64_t>(rng.next_below(2'000));
+            if (rng.next_below(8) == 0) t += std::int64_t{1} << (40 + rng.next_below(13));
+            m.push(t);
+        }
+        if (rng.next_below(3) == 0)
+            m.cancel(static_cast<std::size_t>(rng.next_below(m.pushed())));
+        const int pops = static_cast<int>(rng.next_below(5));
+        for (int i = 0; i < pops && !m.queue().empty(); ++i) m.pop_and_check();
+        ASSERT_EQ(m.queue().size(), m.live());
+    }
+    m.drain_and_check();
+}
+
+TEST(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
     // The ABA scenario: a handle to a consumed event must not affect a new
     // event that happens to land in the same slot.
-    sim::EventQueue q{GetParam()};
+    sim::EventQueue q;
     int first_fired = 0;
     int second_fired = 0;
     auto stale = q.push(at(1), [&first_fired] { ++first_fired; });
@@ -123,30 +223,26 @@ TEST_P(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
     EXPECT_EQ(second_fired, 1);
 }
 
-TEST_P(EventQueueStress, SizeCountsLiveEventsOnly) {
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, SizeCountsLiveEventsOnly) {
+    sim::EventQueue q;
     auto a = q.push(at(1), [] {});
     auto b = q.push(at(2), [] {});
     auto c = q.push(at(3), [] {});
     EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.cancelled_backlog(), 0u);
 
-    // The heap cancels lazily (tombstones surface later); the wheel
-    // unlinks eagerly and never builds a backlog.
     b.cancel();
     EXPECT_EQ(q.size(), 2u) << "cancelled events must not count as live";
-    EXPECT_EQ(q.cancelled_backlog(), heap_backend() ? 1u : 0u);
     EXPECT_FALSE(q.empty());
 
     a.cancel();
     c.cancel();
     EXPECT_EQ(q.size(), 0u);
-    EXPECT_TRUE(q.empty()) << "a queue holding only tombstones is empty";
-    EXPECT_EQ(q.cancelled_backlog(), heap_backend() ? 3u : 0u);
+    EXPECT_TRUE(q.empty()) << "a queue whose events were all cancelled is empty";
+    EXPECT_EQ(q.slot_count(), 3u);
 }
 
-TEST_P(EventQueueStress, CancelAfterClearIsInert) {
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, CancelAfterClearIsInert) {
+    sim::EventQueue q;
     int fired = 0;
     auto before = q.push(at(5), [&fired] { ++fired; });
     auto also_before = q.push(at(6), [&fired] { ++fired; });
@@ -154,7 +250,6 @@ TEST_P(EventQueueStress, CancelAfterClearIsInert) {
     q.clear();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.cancelled_backlog(), 0u);
 
     // New events may land in the very slots the old handles reference.
     int after_fired = 0;
@@ -168,8 +263,8 @@ TEST_P(EventQueueStress, CancelAfterClearIsInert) {
     EXPECT_EQ(fired, 0);
 }
 
-TEST_P(EventQueueStress, ClearResetsFreelistDeterministically) {
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, ClearResetsFreelistDeterministically) {
+    sim::EventQueue q;
     std::vector<sim::EventHandle> handles;
     for (int i = 0; i < 32; ++i) handles.push_back(q.push(at(i), [] {}));
     for (int i = 0; i < 32; i += 2) handles[static_cast<std::size_t>(i)].cancel();
@@ -187,10 +282,10 @@ TEST_P(EventQueueStress, ClearResetsFreelistDeterministically) {
     EXPECT_EQ(fired, 32);
 }
 
-TEST_P(EventQueueStress, RescheduleFromRunningActionReusesOwnSlot) {
+TEST(EventQueueStress, RescheduleFromRunningActionReusesOwnSlot) {
     // The steady-state DES shape: the running action pushes its successor.
     // With a single chain the queue must never grow past one slot.
-    sim::EventQueue q{GetParam()};
+    sim::EventQueue q;
     struct Chain {
         sim::EventQueue* q;
         int* remaining;
@@ -207,38 +302,29 @@ TEST_P(EventQueueStress, RescheduleFromRunningActionReusesOwnSlot) {
     EXPECT_EQ(q.slot_count(), 1u) << "self-rescheduling must recycle the slot just freed";
 }
 
-TEST_P(EventQueueStress, CrossWindowAndFarFutureOrdering) {
+TEST(EventQueueStress, CrossWindowAndFarFutureOrdering) {
     // Times spanning every timing-wheel level — same level-0 bucket,
     // adjacent buckets, window-crossing carries (the 0x1FFFF -> 0x25000
-    // shape), multi-level jumps, and entries past the 2^48 ns top-level
-    // span that land on the far-future overflow list.  The pops must come
-    // out in exact (time, push-order) sequence on both backends.
-    sim::EventQueue q{GetParam()};
+    // shape), multi-level jumps, and top-level (level 4) entries around
+    // 2^48 and 2^49 ns.  The pops must come out in exact (time, push-order)
+    // sequence.  OverflowListMatchesReferenceModel covers times past the
+    // wheel's 2^50 ns span.
     const std::int64_t times[] = {
         0x1FFFF,        0x25000,         5,   5, 0x100, 0xFF, 0x10000,  0x123456,
         0x1'0000'0000,  0x30000,         1,   (std::int64_t{1} << 49),  0x123457,
         (std::int64_t{1} << 49) + 1,     0,   0x2FFFF, 300,   0xFFFF,
         (std::int64_t{1} << 48) - 1,     (std::int64_t{1} << 48)};
-    std::multimap<std::pair<std::int64_t, int>, int> reference;
-    std::vector<int> fired;
-    int idx = 0;
-    for (const std::int64_t t : times) {
-        const int id = idx++;
-        q.push(at(t), [&fired, id] { fired.push_back(id); });
-        reference.emplace(std::pair{t, id}, id);
-    }
-    while (!q.empty()) q.pop_and_run();
-    std::vector<int> expected;
-    for (const auto& [key, id] : reference) expected.push_back(id);
-    EXPECT_EQ(fired, expected);
+    ModelledQueue m;
+    for (const std::int64_t t : times) m.push(t);
+    m.drain_and_check();
 }
 
-TEST_P(EventQueueStress, PeekThenEarlierPushStillPopsInTimeOrder) {
+TEST(EventQueueStress, PeekThenEarlierPushStillPopsInTimeOrder) {
     // Simulator::run peeks next_time() before the loop body; code outside
     // the loop can then push an EARLIER event (chunked run() + re-armed
     // timeouts do exactly this).  The peek advances the wheel cursor, so
     // the earlier event must merge ahead of the staged one.
-    sim::EventQueue q{GetParam()};
+    sim::EventQueue q;
     std::vector<int> fired;
     q.push(at(1'000), [&fired] { fired.push_back(1); });
     EXPECT_EQ(q.next_time(), at(1'000));
@@ -249,52 +335,6 @@ TEST_P(EventQueueStress, PeekThenEarlierPushStillPopsInTimeOrder) {
     q.pop_and_run();
     q.pop_and_run();
     EXPECT_EQ(fired, (std::vector<int>{0, 2, 1}));
-}
-
-TEST(EventQueueBackendEquivalence, HeapAndWheelPopIdenticalSequences) {
-    // One random push/cancel/pop workload applied to both backends in
-    // lock-step: every pop must fire the same event id at the same time.
-    sim::Rng rng(0xC0FFEE);
-    sim::EventQueue heap{sim::EventQueueBackend::kHeap};
-    sim::EventQueue wheel{sim::EventQueueBackend::kWheel};
-    std::vector<std::uint64_t> heap_fired;
-    std::vector<std::uint64_t> wheel_fired;
-    std::vector<std::pair<sim::EventHandle, sim::EventHandle>> handles;
-    std::uint64_t next_id = 0;
-
-    for (int round = 0; round < 300; ++round) {
-        const int pushes = 1 + static_cast<int>(rng.next_below(6));
-        for (int i = 0; i < pushes; ++i) {
-            // Mix dense near-term ticks with occasional far jumps so the
-            // wheel exercises cascades and the overflow list.
-            std::int64_t t = static_cast<std::int64_t>(rng.next_below(2'000));
-            if (rng.next_below(20) == 0) t += std::int64_t{1} << (20 + rng.next_below(30));
-            const std::uint64_t id = next_id++;
-            handles.emplace_back(
-                heap.push(at(t), [&heap_fired, id] { heap_fired.push_back(id); }),
-                wheel.push(at(t), [&wheel_fired, id] { wheel_fired.push_back(id); }));
-        }
-        if (!handles.empty() && rng.next_below(3) == 0) {
-            const std::size_t pick =
-                static_cast<std::size_t>(rng.next_below(handles.size()));
-            handles[pick].first.cancel();
-            handles[pick].second.cancel();
-        }
-        const int pops = static_cast<int>(rng.next_below(4));
-        for (int i = 0; i < pops && !heap.empty(); ++i) {
-            const sim::SimTime th = heap.pop_and_run();
-            const sim::SimTime tw = wheel.pop_and_run();
-            ASSERT_EQ(th, tw);
-        }
-        ASSERT_EQ(heap.size(), wheel.size());
-        ASSERT_EQ(heap_fired, wheel_fired);
-    }
-    while (!heap.empty()) {
-        ASSERT_FALSE(wheel.empty());
-        ASSERT_EQ(heap.pop_and_run(), wheel.pop_and_run());
-    }
-    EXPECT_TRUE(wheel.empty());
-    EXPECT_EQ(heap_fired, wheel_fired);
 }
 
 }  // namespace

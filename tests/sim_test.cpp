@@ -121,6 +121,19 @@ TEST(Simulator, ScheduleInPastThrows) {
     EXPECT_THROW(sim.schedule_at(SimTime{50}, [] {}), std::logic_error);
 }
 
+TEST(Simulator, ScheduleInNegativeDelayThrows) {
+    // A negative delay is a time in the past: it must throw like
+    // schedule_at, not queue the event and later wind the clock back.
+    Simulator sim;
+    sim.schedule_in(Duration{100}, [] {});
+    sim.run();
+    EXPECT_THROW(sim.schedule_in(Duration{-5}, [] {}), std::logic_error);
+    EXPECT_TRUE(sim.queue().empty());
+    sim.schedule_in(Duration::zero(), [] {});  // "now" is not the past
+    sim.run();
+    EXPECT_EQ(sim.now().ns(), 100);
+}
+
 TEST(Simulator, StepExecutesSingleEvent) {
     Simulator sim;
     int fired = 0;

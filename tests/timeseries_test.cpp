@@ -1,8 +1,7 @@
 // Interval time-series telemetry tests (ISSUE 10): Series storage, the
 // conservation invariant and its per-column rejection, overload-episode
 // alignment with the square-wave workload, and byte-identity of the
-// rendered document across job counts, event-queue backends and BPF
-// execution tiers.
+// rendered document across job counts and BPF execution tiers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -294,20 +293,6 @@ INSTANTIATE_TEST_SUITE_P(EveryLedgerColumn, BrokenColumn, ::testing::ValuesIn(le
 TEST(TimeseriesDoc, WriterRequiresFinalizedSeries) {
     const obs::TimeSeries ts;
     EXPECT_THROW((void)report::TimeseriesWriter::document(ts, "x"), std::logic_error);
-}
-
-std::string render_once(sim::EventQueueBackend backend) {
-    obs::TimeSeries ts;
-    harness::RunConfig cfg = pulse_run(&ts);
-    cfg.event_queue = backend;
-    harness::run_once({harness::standard_sut("swan")}, cfg);
-    return report::TimeseriesWriter::serialize(
-        report::TimeseriesWriter::document(ts, "pulse"));
-}
-
-TEST(TimeseriesDoc, ByteIdenticalAcrossEventQueueBackends) {
-    EXPECT_EQ(render_once(sim::EventQueueBackend::kHeap),
-              render_once(sim::EventQueueBackend::kWheel));
 }
 
 TEST(TimeseriesDoc, ByteIdenticalAcrossBpfTiers) {
