@@ -97,45 +97,76 @@ std::uint64_t allocations_during(Body&& body) {
 struct ChainEvent {
     sim::Simulator* sim;
     std::uint64_t* remaining;
+    sim::Duration step;
     void operator()() const {
         if (*remaining == 0) return;
         --*remaining;
-        sim->schedule_in(sim::Duration{100}, ChainEvent{*this});
+        sim->schedule_in(step, ChainEvent{*this});
     }
 };
 
-TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocate) {
-    SKIP_UNDER_SANITIZERS();
+/// Eight interleaved self-rescheduling chains, each event `step` after the
+/// last: after a warmup run, a second run must not allocate.
+void check_event_loop_steady_state(sim::Duration step) {
     sim::Simulator sim;
     std::uint64_t remaining = 10'000;
     for (int chain = 0; chain < 8; ++chain)
-        sim.schedule_in(sim::Duration{chain + 1}, ChainEvent{&sim, &remaining});
+        sim.schedule_in(sim::Duration{chain + 1}, ChainEvent{&sim, &remaining, step});
     sim.run();  // warmup: grows the slab and the timing wheel to final size
     ASSERT_EQ(remaining, 0u);
 
     remaining = 100'000;
     for (int chain = 0; chain < 8; ++chain)
-        sim.schedule_in(sim::Duration{chain + 1}, ChainEvent{&sim, &remaining});
+        sim.schedule_in(sim::Duration{chain + 1}, ChainEvent{&sim, &remaining, step});
     const std::uint64_t allocs = allocations_during([&] { sim.run(); });
     EXPECT_EQ(remaining, 0u);
-    EXPECT_EQ(allocs, 0u) << "event loop allocated in steady state";
+    EXPECT_EQ(allocs, 0u) << "event loop allocated in steady state (step "
+                          << step.ns() << " ns)";
 }
 
-TEST(AllocGuard, EventCancellationDoesNotAllocate) {
-    SKIP_UNDER_SANITIZERS();
+/// Each round schedules an event `doomed` out and one `live` out, cancels
+/// the first and steps: after warmup the churn must not allocate.
+void check_cancel_churn_steady_state(sim::Duration doomed, sim::Duration live) {
     sim::Simulator sim;
     const auto churn = [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
-            auto doomed = sim.schedule_in(sim::Duration{1000}, [] {});
-            sim.schedule_in(sim::Duration{10}, [] {});
-            doomed.cancel();
+            auto handle = sim.schedule_in(doomed, [] {});
+            sim.schedule_in(live, [] {});
+            handle.cancel();
             sim.step();
         }
         sim.run();
     };
     churn(64);  // warmup
     const std::uint64_t allocs = allocations_during([&] { churn(10'000); });
-    EXPECT_EQ(allocs, 0u) << "cancel/reschedule churn allocated in steady state";
+    EXPECT_EQ(allocs, 0u) << "cancel/reschedule churn allocated in steady state (doomed "
+                          << doomed.ns() << " ns, live " << live.ns() << " ns)";
+}
+
+// Short delays stay in the timing wheel's level 0 (its first 1024 ns).
+TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    check_event_loop_steady_state(sim::Duration{100});
+}
+
+// Delays of ~3 ms land in level 2, so every event cascades down two levels
+// before it pops.
+TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocateOnWheel) {
+    SKIP_UNDER_SANITIZERS();
+    check_event_loop_steady_state(sim::Duration{(std::int64_t{3} << 20) + 7});
+}
+
+TEST(AllocGuard, EventCancellationDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    check_cancel_churn_steady_state(sim::Duration{1000}, sim::Duration{10});
+}
+
+// Cancels events parked in level 4 and pops events that cascade from
+// level 2.
+TEST(AllocGuard, EventCancellationDoesNotAllocateOnWheel) {
+    SKIP_UNDER_SANITIZERS();
+    check_cancel_churn_steady_state(sim::Duration{(std::int64_t{1} << 40) + 5},
+                                    sim::Duration{std::int64_t{1} << 21});
 }
 
 /// Sink that retains each packet briefly (one in flight), like a capture
