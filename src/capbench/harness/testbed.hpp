@@ -50,9 +50,8 @@ public:
 
 private:
     // The arena is declared before (so destroyed after) everything that can
-    // hold packets; packet control blocks additionally pin it via their
-    // allocator, so either ordering would be safe — this one avoids keeping
-    // a dead testbed's freelists alive through a straggler reference.
+    // hold packets.  It also outlives any straggler packet on its own (it
+    // counts them), but this order frees its chunks with the testbed.
     std::shared_ptr<net::PacketArena> arena_ = net::PacketArena::create();
     sim::Simulator sim_;
     std::unique_ptr<net::Link> link_;

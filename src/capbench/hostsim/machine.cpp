@@ -329,9 +329,12 @@ void Machine::migrate_chunk(int cpu_index) {
     if (ctr_migrations_) ctr_migrations_->inc();
     // Re-execute the chunk's work when re-dispatched (progress made in the
     // interrupt gaps is conservatively discarded).
-    thread->resume_ = [this, thread, work = chunk.work, st = chunk.state,
-                       then = std::move(chunk.then)]() mutable {
-        thread_exec(*thread, work, st, std::move(then));
+    thread->migrated_work_ = chunk.work;
+    thread->migrated_state_ = chunk.state;
+    thread->migrated_then_ = std::move(chunk.then);
+    thread->resume_ = [this, thread] {
+        thread_exec(*thread, thread->migrated_work_, thread->migrated_state_,
+                    std::move(thread->migrated_then_));
     };
     chunk.then = nullptr;
     thread->state_ = Thread::State::kReady;

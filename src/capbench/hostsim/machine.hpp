@@ -92,6 +92,11 @@ private:
     const char* trace_name_ = nullptr;
     std::int64_t blocked_since_ = -1;  // ns; -1 = not in a blocked span
     Continuation resume_;
+    /// A migrated chunk to re-execute on the next dispatch; kept here so
+    /// resume_ captures only the thread and stays inline.
+    Work migrated_work_;
+    CpuState migrated_state_ = CpuState::kUser;
+    Continuation migrated_then_;
 };
 
 struct MachineSpec {

@@ -53,7 +53,7 @@ struct DiskWriterConfig {
 };
 
 /// One pcap record staged for the writer thread: the arena-backed packet
-/// (the shared_ptr keeps the payload alive across the hand-off) plus its
+/// (the PacketPtr keeps the payload alive across the hand-off) plus its
 /// capture metadata.  No payload bytes are copied until the writer emits
 /// the record.
 struct RecordRef {

@@ -1,76 +1,105 @@
 #include "capbench/net/arena.hpp"
 
+#include <new>
+
 namespace capbench::net {
 
+namespace {
+
+// A slot is the Packet header followed by its payload; both start on a
+// cache line.
+constexpr std::size_t kLine = 64;
+constexpr std::size_t kNodeBytes = kLine;
+static_assert(sizeof(Packet) <= kNodeBytes, "a packet header must fit one cache line");
+static_assert(PacketArena::kSlotStep % kLine == 0);
+
+constexpr std::size_t slot_bytes(std::size_t size_class) {
+    return kNodeBytes + size_class * PacketArena::kSlotStep;
+}
+
+}  // namespace
+
+std::shared_ptr<PacketArena> PacketArena::create() {
+    return std::shared_ptr<PacketArena>(new PacketArena(),
+                                        [](PacketArena* arena) { arena->release_owner(); });
+}
+
 PacketArena::~PacketArena() {
-    // All packets are gone by now (each one's control block holds a
-    // shared_ptr to this arena), so every node and payload is back on its
-    // freelist and can be returned to the system.
-    while (free_nodes_ != nullptr) {
-        FreeNode* next = free_nodes_->next;
-        ::operator delete(static_cast<void*>(free_nodes_));
-        free_nodes_ = next;
+    // No packet is alive by now, so every slot is back on a freelist and
+    // the chunks can go to the system whole.
+    while (chunks_ != nullptr) {
+        Chunk* next = chunks_->next;
+        ::operator delete(static_cast<void*>(chunks_));
+        chunks_ = next;
     }
-    for (std::byte* p : free_payloads_) ::operator delete(static_cast<void*>(p));
 }
 
-std::shared_ptr<Packet> PacketArena::make_synthetic(std::uint64_t id, std::uint32_t frame_len,
-                                                    sim::SimTime sent_at) {
-    return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(shared_from_this()), id,
-                                        frame_len, sent_at);
+MutablePacketPtr PacketArena::make_synthetic(std::uint64_t id, std::uint32_t frame_len,
+                                             sim::SimTime sent_at) {
+    void* slot = acquire_slot(0, false);
+    return MutablePacketPtr{new (slot) Packet(id, frame_len, sent_at, nullptr, this, 0)};
 }
 
-std::shared_ptr<Packet> PacketArena::make_full(std::uint64_t id, std::uint32_t frame_len,
-                                               sim::SimTime sent_at) {
+MutablePacketPtr PacketArena::make_full(std::uint64_t id, std::uint32_t frame_len,
+                                        sim::SimTime sent_at) {
     if (frame_len > kPayloadCapacity) {
-        // Oversized frame: fall back to a packet-owned payload vector.
+        // Oversized frame: a header-only slot plus a packet-owned buffer.
         ++stats_.oversize_payloads;
-        return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(shared_from_this()), id,
-                                            std::vector<std::byte>(frame_len), sent_at);
+        auto* packet =
+            new (acquire_slot(0, false)) Packet(id, frame_len, sent_at, nullptr, this, 0);
+        MutablePacketPtr handle{packet};  // recycles the slot if the buffer throws
+        packet->owned_ = std::make_unique_for_overwrite<std::byte[]>(frame_len);
+        packet->data_ = packet->owned_.get();
+        return handle;
     }
-    std::byte* payload = acquire_payload();
-    return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(shared_from_this()), id,
-                                        frame_len, sent_at, payload, this);
+    const std::size_t cls = size_class(frame_len);
+    auto* slot = static_cast<std::byte*>(acquire_slot(cls, true));
+    return MutablePacketPtr{new (slot) Packet(id, frame_len, sent_at, slot + kNodeBytes, this,
+                                              static_cast<std::uint16_t>(cls))};
 }
 
-void* PacketArena::acquire_node(std::size_t bytes) {
-    if (node_size_ == 0) node_size_ = bytes;
-    if (bytes != node_size_ || free_nodes_ == nullptr) {
-        // First allocation, growth, or (never in practice) a foreign node
-        // size: take it from the system.  Foreign sizes are also released
-        // back to the system in release_node.
-        ++stats_.node_allocs;
-        return ::operator new(bytes);
+void* PacketArena::acquire_slot(std::size_t size_class, bool full) {
+    if (FreeSlot* slot = free_[size_class]) {
+        free_[size_class] = slot->next;
+        ++stats_.node_reuses;
+        if (full) ++stats_.payload_reuses;
+        ++live_;
+        return slot;
     }
-    FreeNode* node = free_nodes_;
-    free_nodes_ = node->next;
-    ++stats_.node_reuses;
-    return static_cast<void*>(node);
+    std::byte* slot = carve(slot_bytes(size_class));
+    ++stats_.node_allocs;
+    if (full) ++stats_.payload_allocs;
+    ++live_;
+    return slot;
 }
 
-void PacketArena::release_node(void* p, std::size_t bytes) noexcept {
-    if (bytes != node_size_ || bytes < sizeof(FreeNode)) {
-        ::operator delete(p);
-        return;
+std::byte* PacketArena::carve(std::size_t bytes) {
+    if (static_cast<std::size_t>(bump_end_ - bump_) < bytes) {
+        // The newest chunk's tail is too short: start a new chunk (the
+        // tail, under one largest slot, is left unused).
+        auto* raw = static_cast<std::byte*>(::operator new(kChunkBytes));
+        auto* chunk = new (raw) Chunk{chunks_};
+        chunks_ = chunk;
+        // Slots start on the first cache line past the chunk header.
+        bump_ = raw + (kLine - reinterpret_cast<std::uintptr_t>(raw) % kLine);
+        bump_end_ = raw + kChunkBytes;
+        ++stats_.chunk_allocs;
     }
-    auto* node = static_cast<FreeNode*>(p);
-    node->next = free_nodes_;
-    free_nodes_ = node;
+    std::byte* slot = bump_;
+    bump_ += bytes;
+    return slot;
 }
 
-std::byte* PacketArena::acquire_payload() {
-    if (free_payloads_.empty()) {
-        ++stats_.payload_allocs;
-        return static_cast<std::byte*>(::operator new(kPayloadCapacity));
-    }
-    std::byte* p = free_payloads_.back();
-    free_payloads_.pop_back();
-    ++stats_.payload_reuses;
-    return p;
+void PacketArena::recycle(Packet* packet) noexcept {
+    const std::size_t cls = packet->size_class_;
+    packet->~Packet();
+    free_[cls] = new (static_cast<void*>(packet)) FreeSlot{free_[cls]};
+    if (--live_ == 0 && orphaned_) delete this;
 }
 
-void PacketArena::release_payload(std::byte* p) noexcept {
-    free_payloads_.push_back(p);
+void PacketArena::release_owner() noexcept {
+    orphaned_ = true;
+    if (live_ == 0) delete this;
 }
 
 }  // namespace capbench::net

@@ -11,23 +11,29 @@
 //    process of capturing", Section 3.2).
 //
 // Packets are shared immutably (like cloned skbs): the splitter hands the
-// same underlying packet to all four sniffers.  On the hot path both the
-// control block and the payload come from a PacketArena (see arena.hpp) and
-// are recycled through freelists, so pktgen -> splitter -> NICs runs without
-// malloc churn; the plain constructors below remain for tests and tools.
+// same underlying packet to all four sniffers.  A PacketPtr is one pointer
+// wide; the reference count lives in the packet itself and is a plain
+// integer, because a packet never leaves the Testbed (and therefore the OS
+// thread) that made it — parallel sweeps give every replication its own
+// Testbed.  The last release returns the packet to where it came from: its
+// PacketArena slot on the hot path (see arena.hpp), or the heap for the
+// packets make_packet mints for tests and tools.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "capbench/sim/time.hpp"
 
 namespace capbench::net {
 
 class PacketArena;
+template <typename T>
+class PacketHandle;
 
 /// Synthetic flow identity (a UDP/TCP 4-tuple) stamped on every generated
 /// packet.  Both packet modes carry it: full-mode packets also encode it in
@@ -46,28 +52,14 @@ public:
     /// Creates a synthetic packet: sizes only, no payload bytes.
     /// `frame_len` is the Ethernet frame length without FCS.
     Packet(std::uint64_t id, std::uint32_t frame_len, sim::SimTime sent_at)
-        : id_(id), frame_len_(frame_len), sent_at_(sent_at) {}
+        : id_(id), sent_at_(sent_at), frame_len_(frame_len) {}
 
-    /// Creates a full packet owning its frame bytes (without FCS).
-    Packet(std::uint64_t id, std::vector<std::byte> frame, sim::SimTime sent_at)
-        : id_(id),
-          frame_len_(static_cast<std::uint32_t>(frame.size())),
-          sent_at_(sent_at),
-          owned_(std::move(frame)),
-          data_(owned_.data()) {}
-
-    /// Creates a full packet whose payload (`frame_len` bytes, uninitialized)
-    /// is owned by `arena` and returned to it on destruction.  Used by
-    /// PacketArena::make_full; the arena outlives the packet by construction
-    /// (the shared_ptr control block holds a reference to it).
-    Packet(std::uint64_t id, std::uint32_t frame_len, sim::SimTime sent_at, std::byte* payload,
-           PacketArena* arena)
-        : id_(id), frame_len_(frame_len), sent_at_(sent_at), data_(payload), arena_(arena) {}
+    /// Creates a full packet owning a copy of its frame bytes (without FCS).
+    Packet(std::uint64_t id, std::span<const std::byte> frame, sim::SimTime sent_at);
 
     Packet(const Packet&) = delete;
     Packet& operator=(const Packet&) = delete;
-
-    ~Packet();
+    ~Packet() = default;
 
     [[nodiscard]] std::uint64_t id() const { return id_; }
 
@@ -97,16 +89,114 @@ public:
     void set_flow(const FlowTuple& flow) { flow_ = flow; }
 
 private:
+    template <typename T>
+    friend class PacketHandle;
+    friend class PacketArena;
+
+    /// Arena packet: `data` is the payload part of the packet's own slot
+    /// (null for synthetic and oversize packets).
+    Packet(std::uint64_t id, std::uint32_t frame_len, sim::SimTime sent_at, std::byte* data,
+           PacketArena* arena, std::uint16_t size_class)
+        : id_(id), sent_at_(sent_at), data_(data), arena_(arena), frame_len_(frame_len),
+          size_class_(size_class) {}
+
+    /// The last reference is gone: back to the arena, or to the heap.
+    void destroy() const noexcept;
+
     std::uint64_t id_ = 0;
-    std::uint32_t frame_len_ = 0;
     sim::SimTime sent_at_{};
+    std::byte* data_ = nullptr;             // payload (slot- or self-owned)
+    PacketArena* arena_ = nullptr;          // null: a stack or make_packet packet
+    std::unique_ptr<std::byte[]> owned_;    // self-owned payload (oversize, make_packet)
     FlowTuple flow_{};
-    std::vector<std::byte> owned_;       // self-owned full mode only
-    std::byte* data_ = nullptr;          // payload (self- or arena-owned)
-    PacketArena* arena_ = nullptr;       // non-null when payload is arena-owned
+    std::uint32_t frame_len_ = 0;
+    mutable std::uint32_t refs_ = 0;        // PacketHandles pointing here
+    std::uint16_t size_class_ = 0;          // arena freelist the slot returns to
 };
 
-using PacketPtr = std::shared_ptr<const Packet>;
+/// Intrusive, single-threaded reference to a Packet.  `T` is `const Packet`
+/// for the published, immutable handle (PacketPtr) and `Packet` for the
+/// freshly minted one its creator still fills (MutablePacketPtr), which
+/// converts to PacketPtr the way shared_ptr<T> converts to
+/// shared_ptr<const T>.
+template <typename T>
+class PacketHandle {
+    static_assert(std::is_same_v<std::remove_const_t<T>, Packet>);
+
+public:
+    PacketHandle() noexcept = default;
+    PacketHandle(std::nullptr_t) noexcept {}  // NOLINT: implicit like shared_ptr
+    PacketHandle(const PacketHandle& other) noexcept : p_(other.p_) { retain(); }
+    PacketHandle(PacketHandle&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
+
+    template <typename U, typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
+    PacketHandle(const PacketHandle<U>& other) noexcept : p_(other.p_) {  // NOLINT
+        retain();
+    }
+    template <typename U, typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
+    PacketHandle(PacketHandle<U>&& other) noexcept  // NOLINT
+        : p_(std::exchange(other.p_, nullptr)) {}
+
+    ~PacketHandle() { release(); }
+
+    /// Copy- and move-assignment (self-assignment safe).
+    PacketHandle& operator=(PacketHandle other) noexcept {
+        std::swap(p_, other.p_);
+        return *this;
+    }
+
+    void reset() noexcept { PacketHandle{}.swap(*this); }
+    void swap(PacketHandle& other) noexcept { std::swap(p_, other.p_); }
+
+    [[nodiscard]] T* get() const noexcept { return p_; }
+    T& operator*() const noexcept { return *p_; }
+    T* operator->() const noexcept { return p_; }
+    explicit operator bool() const noexcept { return p_ != nullptr; }
+
+    /// Handles sharing this packet (0 for an empty handle).
+    [[nodiscard]] std::uint32_t use_count() const noexcept {
+        return p_ != nullptr ? p_->refs_ : 0;
+    }
+
+    template <typename U>
+    bool operator==(const PacketHandle<U>& other) const noexcept {
+        return p_ == other.get();
+    }
+    bool operator==(std::nullptr_t) const noexcept { return p_ == nullptr; }
+
+private:
+    template <typename U>
+    friend class PacketHandle;
+    friend class PacketArena;
+    friend PacketHandle<Packet> make_packet(std::uint64_t, std::uint32_t, sim::SimTime);
+    friend PacketHandle<Packet> make_packet(std::uint64_t, std::span<const std::byte>,
+                                            sim::SimTime);
+
+    /// Takes the first reference to a packet nobody references yet.
+    explicit PacketHandle(T* adopted) noexcept : p_(adopted) { p_->refs_ = 1; }
+
+    void retain() const noexcept {
+        if (p_ != nullptr) ++p_->refs_;
+    }
+    void release() noexcept {
+        if (p_ != nullptr && --p_->refs_ == 0) p_->destroy();
+    }
+
+    T* p_ = nullptr;
+};
+
+using PacketPtr = PacketHandle<const Packet>;
+using MutablePacketPtr = PacketHandle<Packet>;
+
+static_assert(sizeof(PacketPtr) == sizeof(void*));
+
+/// Mints a heap packet outside any arena (tests and tools): synthetic.
+[[nodiscard]] MutablePacketPtr make_packet(std::uint64_t id, std::uint32_t frame_len,
+                                           sim::SimTime sent_at);
+
+/// Mints a heap packet outside any arena: full, owning a copy of `frame`.
+[[nodiscard]] MutablePacketPtr make_packet(std::uint64_t id, std::span<const std::byte> frame,
+                                           sim::SimTime sent_at);
 
 /// Consumer interface for frame delivery (switch ports, splitter taps, NICs).
 class FrameSink {

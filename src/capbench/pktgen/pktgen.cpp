@@ -62,12 +62,12 @@ net::PacketPtr Generator::build_packet(std::uint32_t ip_size) {
     const net::FlowTuple flow = flow_for(id);
 
     if (!config_.full_bytes) {
-        std::shared_ptr<net::Packet> packet = arena_->make_synthetic(id, frame_len, sim_->now());
+        net::MutablePacketPtr packet = arena_->make_synthetic(id, frame_len, sim_->now());
         packet->set_flow(flow);
         return packet;
     }
 
-    std::shared_ptr<net::Packet> packet = arena_->make_full(id, frame_len, sim_->now());
+    net::MutablePacketPtr packet = arena_->make_full(id, frame_len, sim_->now());
     packet->set_flow(flow);
     const std::span<std::byte> frame = packet->mutable_bytes();
     net::EthernetHeader eth;

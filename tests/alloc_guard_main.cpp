@@ -255,40 +255,33 @@ TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
     EXPECT_GT(ring.stats().delivered, 0u);
 }
 
-/// Builds the Figure 6.2 testbed (all four sniffers, thesis packet size
-/// distribution) and runs one complete 4,000-packet generation pass as
-/// warmup, so every slab, freelist, ring and vector reaches its
-/// steady-state capacity.  `measured_pass()` then repeats the same
-/// generation window on the warmed testbed.
-struct Fig62Run {
+/// Builds a testbed and runs its complete generation pass four times as
+/// warmup, so every slab, freelist, arena size class, ring and vector
+/// reaches its steady-state capacity.  `measured_pass()` then runs one
+/// more pass on the warmed testbed.
+struct WarmedRun {
+    static constexpr int kWarmupPasses = 4;
+
     capbench::harness::Testbed bed;
     bool done = false;
 
-    explicit Fig62Run(capbench::obs::Observer* observer)
-        : bed{[&] {
-              capbench::harness::TestbedConfig tb;
-              tb.observer = observer;
-              tb.suts = capbench::harness::standard_suts();
-              tb.gen.count = 4'000;
-              // Moderate rate: the capture stacks stay busy (drops included)
-              // without pathological migration storms.
-              tb.gen.rate_mbps = 400.0;
-              tb.gen.size_dist.emplace(capbench::dist::mwn_trace_histogram());
-              tb.gen.use_dist = true;
-              return tb;
-          }()} {
+    explicit WarmedRun(capbench::harness::TestbedConfig tb) : bed{tb} {
         // Reserve for all passes: the lifecycle observer keys per-packet
         // state by packet id, which keeps counting across restarts.
-        if (observer != nullptr) observer->reserve(5 * 4'000);
+        if (tb.observer != nullptr) tb.observer->reserve((kWarmupPasses + 1) * tb.gen.count);
         bed.start_suts();
-        // Four warmup passes: the workload RNG runs on across passes, so
-        // high-water marks (verdict backlogs, in-flight packets) keep
-        // creeping for a few passes before every capacity plateaus (the
-        // whole run is deterministic, so so is the plateau).
-        for (int pass = 0; pass < 4; ++pass) {
+        // The workload RNG runs on across passes, so high-water marks
+        // (verdict backlogs, in-flight packets, the mix of frame sizes
+        // held) keep creeping for a few passes before every capacity
+        // plateaus (the whole run is deterministic, so so is the plateau).
+        for (int pass = 0; pass < kWarmupPasses; ++pass) {
             run_pass();
-            // Let the capture stacks drain the backlog of the pass.
-            bed.sim().run(bed.sim().now() + sim::milliseconds(50));
+            // Let the capture stacks drain the backlog of the pass (up to
+            // a simulated second).
+            for (int slice = 0; slice < 20; ++slice) {
+                bed.sim().run(bed.sim().now() + sim::milliseconds(50));
+                if (bed.arena().live_packets() == 0) break;
+            }
         }
     }
 
@@ -301,12 +294,27 @@ struct Fig62Run {
     void measured_pass() { run_pass(); }
 };
 
+/// The Figure 6.2 testbed: all four sniffers, thesis packet size
+/// distribution, 4,000 packets per pass.
+capbench::harness::TestbedConfig fig62_config(capbench::obs::Observer* observer) {
+    capbench::harness::TestbedConfig tb;
+    tb.observer = observer;
+    tb.suts = capbench::harness::standard_suts();
+    tb.gen.count = 4'000;
+    // Moderate rate: the capture stacks stay busy (drops included)
+    // without pathological migration storms.
+    tb.gen.rate_mbps = 400.0;
+    tb.gen.size_dist.emplace(capbench::dist::mwn_trace_histogram());
+    tb.gen.use_dist = true;
+    return tb;
+}
+
 TEST(AllocGuard, Fig62SteadyStateDoesNotAllocateWhenTracingDisabled) {
     SKIP_UNDER_SANITIZERS();
     // ISSUE 5 satellite: the observability hooks must be strictly zero-cost
     // when disabled — a full figure-6.2 run's steady state stays
     // allocation-free exactly as it was before the hooks existed.
-    Fig62Run run{nullptr};
+    WarmedRun run{fig62_config(nullptr)};
     const std::uint64_t allocs = allocations_during([&] { run.measured_pass(); });
     EXPECT_EQ(run.bed.generator().stats().packets_sent, 4'000u);
     EXPECT_EQ(allocs, 0u) << "fig 6.2 steady state allocated with tracing disabled";
@@ -319,7 +327,7 @@ TEST(AllocGuard, Fig62SteadyStateAllocationsBoundedWhenTracingEnabled) {
     // for sample-set growth past the reserved capacity.
     capbench::obs::TraceSink sink;
     capbench::obs::Observer observer{&sink};
-    Fig62Run run{&observer};
+    WarmedRun run{fig62_config(&observer)};
     const std::uint64_t chunks_before = sink.chunk_count();
     const std::uint64_t allocs = allocations_during([&] { run.measured_pass(); });
     const std::uint64_t chunk_growth = sink.chunk_count() - chunks_before;
@@ -329,6 +337,37 @@ TEST(AllocGuard, Fig62SteadyStateAllocationsBoundedWhenTracingEnabled) {
     EXPECT_LE(allocs, 2 * chunk_growth + 16)
         << "tracing-enabled steady state allocated beyond trace-buffer growth "
         << "(chunks grew by " << chunk_growth << ")";
+}
+
+TEST(AllocGuard, FullBytesIncreasedBufferRunDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    // The filter_4app shape: four SUTs with increased buffers, 4 apps each
+    // running the Fig 6.5 filter on full frames drawn from the thesis size
+    // distribution.  The apps lag the wire, so the buffers end up holding
+    // almost a whole pass of mixed-size frames and every arena size class
+    // churns.  How many frames of one class a pass holds varies with the
+    // draw, so the warmup passes are three times the measured one: their
+    // per-class high-water marks bound the measured pass's, which must be
+    // served entirely from the freelists.
+    constexpr std::uint64_t kMeasured = 4'000;
+    auto tb = fig62_config(nullptr);
+    capbench::harness::apply_increased_buffers(tb.suts);
+    for (auto& sut : tb.suts) {
+        sut.app_count = 4;
+        sut.filter_expression = capbench::harness::fig_6_5_filter_expression();
+    }
+    tb.gen.full_bytes = true;
+    tb.gen.rate_mbps = 500.0;
+    tb.gen.count = 3 * kMeasured;
+    WarmedRun run{tb};
+    run.bed.generator().config().count = kMeasured;
+    const auto before = run.bed.arena().stats();
+    const std::uint64_t allocs = allocations_during([&] { run.measured_pass(); });
+    const auto after = run.bed.arena().stats();
+    EXPECT_EQ(run.bed.generator().stats().packets_sent, kMeasured);
+    EXPECT_EQ(after.payload_reuses - before.payload_reuses, kMeasured);
+    EXPECT_EQ(after.chunk_allocs, before.chunk_allocs);
+    EXPECT_EQ(allocs, 0u) << "full-bytes increased-buffer steady state allocated";
 }
 
 TEST(AllocGuard, TimeseriesPushesAreChunkGrowthBounded) {

@@ -409,7 +409,7 @@ TEST(AttachGate, AbortingFilterCountsFilterAbortsInsideDroppedFilter) {
         ASSERT_NE(endpoint, nullptr);
         endpoint->install_filter(always_aborting_program());
         for (std::uint64_t id = 1; id <= 3; ++id) {
-            const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
+            const auto p = net::make_packet(id, 600, sim::SimTime{});
             tap->plan(p);
             tap->commit(p);
         }

@@ -20,7 +20,7 @@ using hostsim::Thread;
 using hostsim::Work;
 
 net::PacketPtr synthetic(std::uint64_t id, std::uint32_t frame_len) {
-    return std::make_shared<net::Packet>(id, frame_len, sim::SimTime{});
+    return net::make_packet(id, frame_len, sim::SimTime{});
 }
 
 struct Fixture {
@@ -209,7 +209,7 @@ TEST(Taps, RealBytesRunTheRealFilter) {
     std::vector<std::byte> frame(64);
     frame[12] = std::byte{0x08};
     frame[13] = std::byte{0x06};
-    auto arp = std::make_shared<net::Packet>(1, std::move(frame), sim::SimTime{});
+    auto arp = net::make_packet(1, std::move(frame), sim::SimTime{});
     deliver(sock, arp);
     EXPECT_EQ(sock.stats().dropped_filter, 1u);
 }

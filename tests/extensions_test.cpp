@@ -26,7 +26,7 @@ TEST(TenGigabit, LinkDeliversTenTimesFaster) {
         void on_frame(const net::PacketPtr&) override { ++frames; }
     } sink;
     link.attach(sink);
-    link.transmit(std::make_shared<net::Packet>(1, 1514, sim.now()));
+    link.transmit(net::make_packet(1, 1514, sim.now()));
     sim.run();
     EXPECT_EQ(sim.now().ns(), net::wire_time(1514).ns() / 10);
     EXPECT_EQ(sink.frames, 1);
@@ -53,13 +53,13 @@ TEST(RoundRobinSplitter, DealsFramesOneByOne) {
     rr.attach(b);
     rr.attach(c);
     for (std::uint64_t i = 0; i < 7; ++i)
-        rr.on_frame(std::make_shared<net::Packet>(i, 100, sim::SimTime{}));
+        rr.on_frame(net::make_packet(i, 100, sim::SimTime{}));
     EXPECT_EQ(a.ids, (std::vector<std::uint64_t>{0, 3, 6}));
     EXPECT_EQ(b.ids, (std::vector<std::uint64_t>{1, 4}));
     EXPECT_EQ(c.ids, (std::vector<std::uint64_t>{2, 5}));
     // No sinks attached: frames are silently dropped, no crash.
     net::RoundRobinSplitter empty;
-    EXPECT_NO_THROW(empty.on_frame(std::make_shared<net::Packet>(9, 100, sim::SimTime{})));
+    EXPECT_NO_THROW(empty.on_frame(net::make_packet(9, 100, sim::SimTime{})));
 }
 
 TEST(Distribution, FourSniffersBeatOneOnTenGig) {

@@ -147,7 +147,7 @@ TEST(Link, DeliversAfterWireTime) {
         void on_frame(const PacketPtr& p) override { ids.push_back(p->id()); }
     } sink;
     link.attach(sink);
-    link.transmit(std::make_shared<Packet>(1, 1514, sim.now()));
+    link.transmit(make_packet(1, 1514, sim.now()));
     sim.run();
     ASSERT_EQ(sink.ids.size(), 1u);
     EXPECT_EQ(sim.now().ns(), wire_time(1514).ns());
@@ -163,8 +163,8 @@ TEST(Link, SerializesBackToBackFrames) {
     } sink;
     sink.sim = &sim;
     link.attach(sink);
-    link.transmit(std::make_shared<Packet>(1, 1514, sim.now()));
-    link.transmit(std::make_shared<Packet>(2, 1514, sim.now()));
+    link.transmit(make_packet(1, 1514, sim.now()));
+    link.transmit(make_packet(2, 1514, sim.now()));
     sim.run();
     ASSERT_EQ(sink.times.size(), 2u);
     EXPECT_EQ(sink.times[1] - sink.times[0], wire_time(1514).ns());
@@ -181,7 +181,7 @@ TEST(Splitter, DuplicatesToAllTaps) {
     splitter.attach(b);
     splitter.attach(c);
     splitter.attach(d);
-    const auto packet = std::make_shared<Packet>(1, 100, sim::SimTime{});
+    const auto packet = make_packet(1, 100, sim::SimTime{});
     splitter.on_frame(packet);
     EXPECT_EQ(a.frames, 1);
     EXPECT_EQ(b.frames, 1);
@@ -193,8 +193,8 @@ TEST(MonitorSwitch, CountsIngressAndMirroredEgress) {
     MonitorSwitch sw;
     Splitter splitter;
     sw.attach_monitor(splitter);
-    sw.on_frame(std::make_shared<Packet>(1, 100, sim::SimTime{}));
-    sw.on_frame(std::make_shared<Packet>(2, 200, sim::SimTime{}));
+    sw.on_frame(make_packet(1, 100, sim::SimTime{}));
+    sw.on_frame(make_packet(2, 200, sim::SimTime{}));
     EXPECT_EQ(sw.ingress_counters().packets, 2u);
     EXPECT_EQ(sw.ingress_counters().bytes, 300u);
     EXPECT_EQ(sw.egress_counters().packets, 2u);

@@ -121,6 +121,30 @@ TEST(ParallelSweep, RepeatedPointsStayIdenticalInParallel) {
     expect_identical(serial, rate_sweep(suts, cfg, rates, /*reps=*/3, &exec));
 }
 
+TEST(ParallelSweep, FullBytesFilteredSweepIsBitIdenticalAcrossJobCounts) {
+    // Real frame bytes through the packet arena, a BPF filter and several
+    // apps per SUT.  Every replication owns its Testbed and arena, so no
+    // packet (and no non-atomic PacketPtr reference count) crosses a worker
+    // thread; under TSan this test is what checks that.
+    std::vector<SutConfig> suts{standard_sut("swan"), standard_sut("flamingo")};
+    apply_increased_buffers(suts);
+    for (auto& sut : suts) {
+        sut.app_count = 3;
+        sut.filter_expression = fig_6_5_filter_expression();
+    }
+    RunConfig cfg;
+    cfg.packets = 2'000;
+    cfg.full_bytes = true;
+    const std::vector<double> rates{300, 600, 950};
+
+    const auto serial = rate_sweep(suts, cfg, rates, /*reps=*/1);
+    for (const auto& row : serial)
+        for (const auto& sut : row.result.suts)
+            ASSERT_EQ(sut.per_app_capture_pct.size(), 3u) << sut.name;
+    const ParallelExecutor exec{3};
+    expect_identical(serial, rate_sweep(suts, cfg, rates, /*reps=*/1, &exec));
+}
+
 TEST(RunRepeated, SeedVariationStrideIsPinned) {
     // Figure 3.2 repeats each measurement with varied seeds; rep k runs at
     // base_seed + k*7919.  This is observable behaviour (it decides which

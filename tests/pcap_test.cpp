@@ -38,7 +38,7 @@ TEST(Session, InstallsCompiledFilter) {
     tcp_frame[13] = std::byte{0x00};
     tcp_frame[14] = std::byte{0x45};
     tcp_frame[23] = std::byte{6};  // TCP
-    auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
+    auto pkt = net::make_packet(1, std::move(tcp_frame), sim::SimTime{});
     f.sock.plan(pkt);
     f.sock.commit(pkt);
     EXPECT_EQ(session.stats().ps_recv, 0u);
@@ -64,7 +64,7 @@ TEST(Session, NonblockRejectedOnMmap) {
 TEST(Session, StatsMapToPcapSemantics) {
     Fixture f;
     Session session{f.sock, "swan:if0", 1515, false};
-    auto pkt = std::make_shared<net::Packet>(1, 500, sim::SimTime{});
+    auto pkt = net::make_packet(1, 500, sim::SimTime{});
     f.sock.plan(pkt);
     f.sock.commit(pkt);
     f.sock.fetch(99);
@@ -82,7 +82,7 @@ TEST(Session, StatsMapBufferDropsToPsDrop) {
     std::uint64_t id = 1;
     // Overfill the 4 kB socket buffer with 1500-byte frames.
     for (int i = 0; i < 10; ++i) {
-        auto pkt = std::make_shared<net::Packet>(id++, 1500, sim::SimTime{});
+        auto pkt = net::make_packet(id++, 1500, sim::SimTime{});
         small.plan(pkt);
         small.commit(pkt);
     }
