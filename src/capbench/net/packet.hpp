@@ -125,16 +125,17 @@ class PacketHandle {
 
 public:
     PacketHandle() noexcept = default;
-    PacketHandle(std::nullptr_t) noexcept {}  // NOLINT: implicit like shared_ptr
+    PacketHandle(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
     PacketHandle(const PacketHandle& other) noexcept : p_(other.p_) { retain(); }
     PacketHandle(PacketHandle&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
 
     template <typename U, typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
-    PacketHandle(const PacketHandle<U>& other) noexcept : p_(other.p_) {  // NOLINT
+    PacketHandle(const PacketHandle<U>& other) noexcept  // NOLINT(google-explicit-constructor)
+        : p_(other.p_) {
         retain();
     }
     template <typename U, typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
-    PacketHandle(PacketHandle<U>&& other) noexcept  // NOLINT
+    PacketHandle(PacketHandle<U>&& other) noexcept  // NOLINT(google-explicit-constructor)
         : p_(std::exchange(other.p_, nullptr)) {}
 
     ~PacketHandle() { release(); }
